@@ -19,8 +19,8 @@ from .torus import (  # noqa: F401
     apply_aut, polar, standard_act, moment_map, stratum,
 )
 from .smith import (  # noqa: F401
-    SmithSystem, SolveResult, SmithNF, smith_normal_form, smith_solve,
-    verify_solution, verify_certificate,
+    SmithSystem, SolveResult, SmithNF, smith_solve, verify_solution,
+    verify_certificate,
 )
 from .nerve import (  # noqa: F401
     Nerve, GLCocycle, CocycleReport, HolonomyReport, ChartCorrections,
@@ -38,9 +38,8 @@ from .cochain import (  # noqa: F401
 from .lifting import (  # noqa: F401
     ChartLifting, GluingData, GlobalLifting, SigmaTable, Certificate,
     ObstructionReport, check_chart_lifting, check_gluing,
-    check_equivariant_gluing, assemble_global_lifting, sigma_entry,
-    sigma_word, compute_sigma, deck_coboundary, test_vanishing,
-    reconstruct_lifting,
+    check_equivariant_gluing, assemble_global_lifting, sigma_word,
+    compute_sigma, deck_coboundary, test_vanishing, reconstruct_lifting,
 )
 from .cylinder import (  # noqa: F401
     CylParams, CylPoint, CylBundlePoint, CylScenario, SHEAR,

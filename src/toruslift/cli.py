@@ -125,8 +125,7 @@ def run_holonomy(scn):
     _header(lines, "holonomy", scn)
     rep = holonomy(scn.nerve, scn.cocycle)
     _holonomy_lines(lines, rep)
-    trivial = all(img.is_identity() for img in rep.images)
-    if trivial:
+    if rep.trivial:
         return _finish(lines, "trivial-holonomy", 0)
     return _finish(lines, "nontrivial-holonomy", 2)
 
@@ -139,8 +138,7 @@ def run_global_action(scn):
                  "chart samples are not consulted")
     rep = holonomy(scn.nerve, scn.cocycle)
     _holonomy_lines(lines, rep)
-    trivial = all(img.is_identity() for img in rep.images)
-    if trivial:
+    if rep.trivial:
         lines.append("summary: induced by a global action (at nerve level)")
         return _finish(lines, "global-action", 0)
     lines.append("summary: not induced by a global action: the loop images "
@@ -294,9 +292,7 @@ def run_obstruction(scn, window=None):
     lines.append("dropped-ratio: %s" % report.dropped_ratio)
     lines.append("threshold: %s" % report.threshold)
     lines.append(WINDOW_NOTE)
-    zero = all(all(v is None or all(c == 0 for c in v) for v in col)
-               for table in sigma.tables for col in table.values.values())
-    lines.append("sigma-zero: %s" % ("yes" if zero else "no"))
+    lines.append("sigma-zero: %s" % ("yes" if sigma.is_zero() else "no"))
 
     if report.verdict == "certified-nonvanishing":
         _certificate_lines(lines, report)

@@ -400,19 +400,6 @@ def coboundary(sigma: CochainTable, module: FiniteModule) -> CochainTable:
     keys = list(u_keys(module.n, module.m))
     last_sign = 1 if (q + 1) % 2 == 0 else -1
     out = {}
-    if q == 1 and module.k == 1:
-        # hot path: delta s(u1, u2, x) = s(u2, x) - s(u1+u2, x) + s(u1, u2.x)
-        for u1 in keys:
-            col1 = _column(sigma, (u1,))
-            for u2 in keys:
-                col2 = _column(sigma, (u2,))
-                col_sum = _column(sigma, (module.add_u(u1, u2),))
-                permuted = [col1[p] for p in module.torus_column(u2)]
-                out[(u1, u2)] = [
-                    None if a is None or b is None or c is None
-                    else ((a[0] - b[0] + c[0]) % mp,)
-                    for a, b, c in zip(col2, col_sum, permuted)]
-        return CochainTable(q=2, values=out)
     for us in itertools.product(keys, repeat=q + 1):
         terms = [(1, _column(sigma, us[1:]), None)]
         sign = 1
@@ -439,23 +426,120 @@ def coboundary(sigma: CochainTable, module: FiniteModule) -> CochainTable:
     return CochainTable(q=q + 1, values=out)
 
 
+# -- the presentation of (Z/m)^n: a degree-1 torus cocycle is fixed by its
+# generator values tau(e_j, x) subject to the torsion and commutation
+# relators.  ``relation_rows`` and ``generator_terms`` code this once; their
+# only input about the action is the generator columns gens[j][x] = e_j . x.
+
+def generator_columns(module: FiniteModule) -> List[List[int]]:
+    return [module.torus_column(module.generator_u(j))
+            for j in range(module.n)]
+
+
+def relation_rows(gens: Sequence[Sequence[int]], m: int):
+    """The relators as (label, coeffs) rows, coeffs a dict over (j, x):
+    ("torsion", j, x) is sum_{t<m} tau(e_j, e_j^t.x) and ("commutes", i, j,
+    x) is tau(e_i, e_j.x) + tau(e_j, x) - tau(e_j, e_i.x) - tau(e_i, x).
+    Zero coefficients and empty rows are dropped."""
+    for j, col in enumerate(gens):
+        for x in range(len(col)):
+            coeffs = {}
+            cur = x
+            for _ in range(m):
+                coeffs[(j, cur)] = coeffs.get((j, cur), 0) + 1
+                cur = col[cur]
+            yield ("torsion", j, x), coeffs
+    for i, gi in enumerate(gens):
+        for j in range(i + 1, len(gens)):
+            gj = gens[j]
+            for x in range(len(gi)):
+                coeffs = {}
+                for key, delta in (((i, gj[x]), 1), ((j, x), 1),
+                                   ((j, gi[x]), -1), ((i, x), -1)):
+                    coeffs[key] = coeffs.get(key, 0) + delta
+                coeffs = {key: v for key, v in coeffs.items() if v}
+                if coeffs:
+                    yield ("commutes", i, j, x), coeffs
+
+
+def generator_terms(gens: Sequence[Sequence[int]], u: UKey) -> list:
+    """tau(l_1 + ... + l_L, x) = sum_t tau(l_t, (suffix after t).x) with
+    letters e_0 (u_0 times), then e_1, ...; u is reduced mod m.  Returns
+    the terms, last letter first, as (j, column): column[x] is the point
+    whose e_j value the term reads."""
+    cur = list(range(len(gens[0]))) if gens else []
+    terms = []
+    for j in reversed(range(len(u))):
+        for _ in range(u[j]):
+            terms.append((j, cur))
+            cur = [gens[j][c] for c in cur]
+    return terms
+
+
+def _nonzero(terms, mp: int):
+    """sum coeff * vec != 0 mod mp; False when a term is undefined."""
+    if any(vec is None for _, vec in terms):
+        return False
+    return any(sum(coeff * vec[idx] for coeff, vec in terms) % mp
+               for idx in range(len(terms[0][1])))
+
+
+def cocycle_violations(gens: Sequence[Sequence[int]], m: int, m_prime: int,
+                       columns: Dict[UKey, Sequence]) -> list:
+    """Where the table u -> columns[u] breaks the cocycle identity: its
+    generator values must satisfy every relation row and each tau(u, x)
+    equal its generator expansion (tau(0, x) = 0), checked only where
+    every entry read is defined (not None)."""
+    n = len(gens)
+    values = [columns[tuple(1 % m if i == j else 0 for i in range(n))]
+              for j in range(n)]
+    bad = [label for label, coeffs in relation_rows(gens, m)
+           if _nonzero([(a, values[j][x]) for (j, x), a in coeffs.items()],
+                       m_prime)]
+    for u in u_keys(n, m):
+        terms = generator_terms(gens, u)
+        for x, vec in enumerate(columns[u]):
+            if vec is not None and _nonzero(
+                    [(1, vec)] + [(-1, values[j][col[x]])
+                                  for j, col in terms], m_prime):
+                bad.append(("cocycle", u, x) if any(u) else ("zero", x))
+    return bad
+
+
 @dataclass(frozen=True)
 class CocycleCheck:
     ok: bool
-    violations: tuple      # (u_1, ..., u_q+1... , class index) per nonzero
+    violations: tuple      # relation labels, ("zero", x), ("cocycle", u, x)
 
 
 def is_cocycle(sigma: CochainTable, module: FiniteModule) -> CocycleCheck:
-    """True iff the coboundary vanishes on every defined entry."""
-    delta = coboundary(sigma, module)
-    zero = module.zero_vec()
-    violations = []
-    for us in sorted(delta.values):
-        col = delta.values[us]
+    """True iff tau(u1 + u2, x) = tau(u1, u2.x) + tau(u2, x) holds on
+    every defined entry of the degree-1 table (``cocycle_violations``)."""
+    if sigma.q != 1:
+        raise InputError("is_cocycle takes a degree-1 table, not degree %d"
+                         % sigma.q)
+    columns = {u: _column(sigma, (u,)) for u in u_keys(module.n, module.m)}
+    bad = cocycle_violations(generator_columns(module), module.m,
+                             module.m_prime, columns)
+    return CocycleCheck(ok=not bad, violations=tuple(bad))
+
+
+def expand_witness(module: FiniteModule, gen_values) -> CochainTable:
+    """Total degree-1 table generated by values on (e_j, x) pairs."""
+    mp = module.m_prime
+    gens = generator_columns(module)
+    values = {}
+    for u in u_keys(module.n, module.m):
+        terms = generator_terms(gens, u)
+        col = []
         for c in range(module.size):
-            if col[c] is not None and col[c] != zero:
-                violations.append(us + (c,))
-    return CocycleCheck(ok=not violations, violations=tuple(violations))
+            total = [0] * module.k
+            for j, points in terms:
+                for idx, v in enumerate(gen_values[(j, points[c])]):
+                    total[idx] += v
+            col.append(tuple(v % mp for v in total))
+        values[(u,)] = col
+    return CochainTable(q=1, values=values)
 
 
 def pi1_act(sigma: CochainTable, word: Word,

@@ -28,7 +28,12 @@ from .cochain import (
     CochainTable,
     FiniteModule,
     cochain_add,
+    cocycle_violations,
+    expand_witness,
+    generator_columns,
+    generator_terms,
     is_cocycle,
+    relation_rows,
     u_keys,
 )
 from .errors import (
@@ -40,7 +45,7 @@ from .errors import (
 )
 from .groups import Representation
 from .nerve import ChartCorrections
-from .smith import SmithNF
+from .smith import SmithNF, verify_certificate, verify_solution
 from .torus import PolarPoint, standard_act
 
 Vec = Tuple[int, ...]
@@ -113,38 +118,30 @@ class ChartLifting:
 
 def check_chart_lifting(lifting: ChartLifting) -> LiftingReport:
     """Validate the action identity c(u1+u2, z) = c(u1, u2.z) + c(u2, z)
-    together with c(0, z) = 0, listing every violation."""
-    m, mp, n = lifting.m, lifting.m_prime, lifting.n
-    zero_u = (0,) * n
-    zero_v = (0,) * lifting.k
-    violations = []
+    together with c(0, z) = 0 on the generator rotations of the samples
+    (``cocycle_violations``), listing every violation.  An absent entry, or
+    a rotation that leaves the samples, is listed as missing."""
+    m, n = lifting.m, lifting.n
     samples = lifting.samples
-    for z in samples:
-        if lifting.table.get((zero_u, z)) != zero_v:
-            violations.append(("zero", z))
-    # index the samples once so the triple loop below runs on lists
     pos = {z: i for i, z in enumerate(samples)}
-    vals = {}
-    perm = {}
-    for u in u_keys(n, m):
-        frac = tuple(Fraction(v, m) for v in u)
-        vals[u] = [lifting.table.get((u, z)) for z in samples]
-        perm[u] = [pos.get(standard_act(frac, z)) for z in samples]
-    keys = list(u_keys(n, m))
-    for u1 in keys:
-        row1 = vals[u1]
-        for u2 in keys:
-            total = tuple((a + b) % m for a, b in zip(u1, u2))
-            row_total, row2, p2 = vals[total], vals[u2], perm[u2]
-            for i, z in enumerate(samples):
-                j = p2[i]
-                lhs, rhs = row_total[i], row2[i]
-                at_moved = None if j is None else row1[j]
-                if lhs is None or at_moved is None or rhs is None:
-                    violations.append(("missing", u1, u2, z))
-                elif lhs != tuple((a + b) % mp
-                                  for a, b in zip(at_moved, rhs)):
-                    violations.append(("cocycle", u1, u2, z))
+    violations = []
+    gens = []
+    for j in range(n):
+        ej = tuple(1 % m if i == j else 0 for i in range(n))
+        frac = tuple(Fraction(v, m) for v in ej)
+        col = [pos.get(standard_act(frac, z)) for z in samples]
+        violations.extend(("missing", ej, z)
+                          for z, x in zip(samples, col) if x is None)
+        gens.append(col)
+    columns = {u: [lifting.table.get((u, z)) for z in samples]
+               for u in u_keys(n, m)}
+    for u, col in columns.items():
+        violations.extend(("missing", u, z)
+                          for z, vec in zip(samples, col) if vec is None)
+    if all(x is not None for col in gens for x in col):
+        violations.extend(
+            v[:-1] + (samples[v[-1]],)
+            for v in cocycle_violations(gens, m, lifting.m_prime, columns))
     return LiftingReport(violations=tuple(violations))
 
 
@@ -366,24 +363,23 @@ class GlobalLifting:
             for node in frontier:
                 chart, deck, z = node
                 for other in self.model.nerve.neighbors(chart):
-                    hops = []
                     mate = self.model.matched(other, chart, z)
-                    if mate is not None:
-                        gen = self.corrections.edge_generator(other, chart)
-                        trans = () if gen is None else \
-                            group.normalize((gen,))
-                        hops.append(((other, group.mul(trans, deck), mate),
-                                     self.gluing.value(other, chart, z)))
-                    for target, shift in hops:
-                        t_new = _vadd(seen[node], shift, self.m_prime)
-                        if target in seen:
-                            if seen[target] != t_new:
-                                raise AssemblyError(
-                                    "gluing holonomy around an overlap "
-                                    "cycle at %r" % (target,))
-                            continue
-                        seen[target] = t_new
-                        nxt.append(target)
+                    if mate is None:
+                        continue
+                    gen = self.corrections.edge_generator(other, chart)
+                    trans = () if gen is None else group.normalize((gen,))
+                    target = (other, group.mul(trans, deck), mate)
+                    t_new = _vadd(seen[node],
+                                  self.gluing.value(other, chart, z),
+                                  self.m_prime)
+                    if target in seen:
+                        if seen[target] != t_new:
+                            raise AssemblyError(
+                                "gluing holonomy around an overlap "
+                                "cycle at %r" % (target,))
+                        continue
+                    seen[target] = t_new
+                    nxt.append(target)
             frontier = nxt
         if node_to not in seen:
             raise OutOfModel("presentations %r and %r are not identified "
@@ -459,14 +455,6 @@ def assemble_global_lifting(model, corrections: ChartCorrections,
     return GlobalLifting(model, corrections, rho, liftings, gluing)
 
 
-def twist_lifting(lifting: GlobalLifting, module: FiniteModule,
-                  table: CochainTable) -> GlobalLifting:
-    """Shift the lifted torus action by a cochain: the action of u gains
-    the fiber shift table(u, source point).  No equivariance is re-checked
-    — this is the constructor for deliberately obstructed liftings."""
-    return lifting.with_twist(module, table)
-
-
 @dataclass(frozen=True)
 class SigmaTable:
     """Per-generator obstruction tables: sigma(a, u, x) in Z_{m'}^k.
@@ -488,22 +476,6 @@ class SigmaTable:
         return all(v is None or all(x == 0 for x in v)
                    for table in self.tables
                    for col in table.values.values() for v in col)
-
-
-def sigma_entry(lifting: GlobalLifting, module: FiniteModule, word,
-                u: tuple, cls: int):
-    """One four-map evaluation:
-
-        phi_T(u)^-1 . phi_pi1(a)^-1 . phi_T(rho(a)(u)) . phi_pi1(a)
-
-    applied over the class representative with fiber coordinate 0; the
-    resulting fiber coordinate is sigma.  A second run at coordinate 1
-    asserts independence of the starting fiber coordinate.  Returns None
-    if any step leaves the window.
-    """
-    ru = lifting.rho.of(word).apply_mod(u, lifting.m)
-    return _sigma_entry(lifting, module, word, lifting.rho.group.inv(word),
-                        ru, u, cls)
 
 
 def _sigma_entry(lifting, module, word, inv, ru, u, cls):
@@ -585,38 +557,6 @@ def deck_coboundary(tau: CochainTable, module: FiniteModule) -> SigmaTable:
     return SigmaTable(tables=tuple(tables))
 
 
-def expand_generators(module: FiniteModule, u: tuple, cls: int):
-    """Write tau(u, x) as a sum of generator values via the torus-cocycle
-    identity: tau(l_1 + ... + l_L, x) = sum_t tau(l_t, (suffix after t).x)
-    with letters l = e_1 (u_1 times), then e_2, ...  Returns the list of
-    (generator index, class) pairs."""
-    letters = []
-    for j in range(module.n):
-        letters.extend([j] * (u[j] % module.m))
-    terms = []
-    cur = cls
-    for j in reversed(letters):
-        terms.append((j, cur))
-        cur = module.torus_act(module.generator_u(j), cur)
-    return terms
-
-
-def expand_witness(module: FiniteModule, gen_values) -> CochainTable:
-    """Total degree-1 table generated by values on (e_j, x) pairs."""
-    mp = module.m_prime
-    values = {}
-    for u in u_keys(module.n, module.m):
-        col = []
-        for c in range(module.size):
-            total = [0] * module.k
-            for j, cc in expand_generators(module, u, c):
-                for idx, v in enumerate(gen_values[(j, cc)]):
-                    total[idx] += v
-            col.append(tuple(v % mp for v in total))
-        values[(u,)] = col
-    return CochainTable(q=1, values=values)
-
-
 @dataclass(frozen=True)
 class Certificate:
     """Integer row combination proving infeasibility in one fiber
@@ -651,26 +591,6 @@ class ObstructionReport:
         if self.sigma_rows_total == 0:
             return Fraction(0)
         return Fraction(self.sigma_rows_dropped, self.sigma_rows_total)
-
-
-def _verify_combination(rows, rhs, modulus, vector):
-    """Sparse check that vector.A = 0 and vector.b != 0 (mod modulus)."""
-    acc = {}
-    for coeff, row in zip(vector, rows):
-        for col, val in row:
-            acc[col] = (acc.get(col, 0) + coeff * val) % modulus
-    if any(v % modulus for v in acc.values()):
-        return False
-    dot = sum(c * b for c, b in zip(vector, rhs)) % modulus
-    return dot != 0
-
-
-def _verify_assignment(rows, rhs, modulus, x):
-    for row, b in zip(rows, rhs):
-        if sum(coeff * x[col] for col, coeff in row) % modulus \
-                != b % modulus:
-            return False
-    return True
 
 
 def test_vanishing(sigma: SigmaTable, module: FiniteModule,
@@ -716,36 +636,16 @@ def test_vanishing(sigma: SigmaTable, module: FiniteModule,
             rhs_columns[coord].append(vec[coord])
 
     zero = module.zero_vec()
-    for j in range(n):
-        gen = module.generator_u(j)
-        for c in range(size):
-            coeffs = {}
-            cur = c
-            for _ in range(m):
-                key = var(j, cur)
-                coeffs[key] = coeffs.get(key, 0) + 1
-                cur = module.torus_act(gen, cur)
-            add_row(coeffs, ("torsion", j, c), zero)
-    for i in range(n):
-        for j in range(i + 1, n):
-            ei, ej = module.generator_u(i), module.generator_u(j)
-            for c in range(size):
-                coeffs = {}
-                for key, delta in ((var(i, module.torus_act(ej, c)), 1),
-                                   (var(j, c), 1),
-                                   (var(j, module.torus_act(ei, c)), -1),
-                                   (var(i, c), -1)):
-                    coeffs[key] = coeffs.get(key, 0) + delta
-                coeffs = {key: v for key, v in coeffs.items() if v}
-                if coeffs:
-                    add_row(coeffs, ("commutes", i, j, c), zero)
+    gens = generator_columns(module)
+    for label, coeffs in relation_rows(gens, m):
+        add_row({var(j, x): a for (j, x), a in coeffs.items()}, label, zero)
     dropped = 0
     total = module.pi1_rank * n * size
     for i in range(module.pi1_rank):
         aut = module.rho_images[i]
         for j in range(n):
             ej = module.generator_u(j)
-            rej = aut.apply_mod(ej, m)
+            terms = generator_terms(gens, aut.apply_mod(ej, m))
             for c in range(size):
                 moved = module.deck_act_gen(i, 1, c)
                 value = sigma.tables[i].values[(ej,)][c]
@@ -753,8 +653,8 @@ def test_vanishing(sigma: SigmaTable, module: FiniteModule,
                     dropped += 1
                     continue
                 coeffs = {var(j, c): 1}
-                for jj, cc in expand_generators(module, rej, moved):
-                    key = var(jj, cc)
+                for jj, col in terms:
+                    key = var(jj, col[moved])
                     coeffs[key] = coeffs.get(key, 0) - 1
                 coeffs = {key: v for key, v in coeffs.items() if v}
                 add_row(coeffs, ("deck", i, j, c), value)
@@ -768,8 +668,8 @@ def test_vanishing(sigma: SigmaTable, module: FiniteModule,
         if not result.solvable:
             cert = Certificate(fiber_coordinate=coord,
                                vector=result.certificate)
-            if not _verify_combination(sparse_rows, rhs_columns[coord],
-                                       mp, cert.vector):
+            if not verify_certificate(sparse_rows, rhs_columns[coord], mp,
+                                      cert.vector):
                 raise AssemblyError("infeasibility certificate failed "
                                     "re-verification")
             return ObstructionReport(
@@ -780,8 +680,8 @@ def test_vanishing(sigma: SigmaTable, module: FiniteModule,
                 rhs=tuple(tuple(col) for col in rhs_columns),
                 sigma_rows_total=total, sigma_rows_dropped=dropped,
                 threshold=threshold)
-        if not _verify_assignment(sparse_rows, rhs_columns[coord], mp,
-                                  result.solution):
+        if not verify_solution(sparse_rows, rhs_columns[coord], mp,
+                               result.solution):
             raise AssemblyError("solver witness failed re-verification")
         solutions.append(result.solution)
 

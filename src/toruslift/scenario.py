@@ -261,6 +261,8 @@ def parse_scenario(text: str, max_denominator: Optional[int] = None
                 if family is not None:
                     raise ScenarioError("duplicate family line", lineno)
                 parts = value.split()
+                if not parts:
+                    raise ScenarioError("family line has no value", lineno)
                 if parts[0] not in ("free", "free_abelian", "cyclic"):
                     raise ScenarioError("unknown family %r" % parts[0],
                                         lineno)

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import List, Optional, Sequence
 
+from .errors import AssemblyError
+
 
 @dataclass(frozen=True)
 class SmithSystem:
@@ -64,16 +66,24 @@ class SolveResult:
         return self.solution is not None
 
 
-def verify_solution(A, b, modulus, x) -> bool:
-    return all(sum(c * v for c, v in zip(row, x)) % modulus == bi % modulus
-               for row, bi in zip(A, b))
+def sparse(A) -> tuple:
+    """Dense rows as sparse rows of (column, coefficient) pairs."""
+    return tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in A)
 
 
-def verify_certificate(A, b, modulus, y) -> bool:
-    ncols = len(A[0]) if A else 0
-    comb = [sum(y[r] * A[r][c] for r in range(len(A))) % modulus
-            for c in range(ncols)]
-    if any(comb):
+def verify_solution(rows, b, modulus, x) -> bool:
+    """x solves every sparse row: sum coeff * x[col] = b (mod modulus)."""
+    return all(sum(coeff * x[col] for col, coeff in row) % modulus
+               == bi % modulus for row, bi in zip(rows, b))
+
+
+def verify_certificate(rows, b, modulus, y) -> bool:
+    """y . A = 0 and y . b != 0 (mod modulus), A given as sparse rows."""
+    acc = {}
+    for coeff, row in zip(y, rows):
+        for col, val in row:
+            acc[col] = acc.get(col, 0) + coeff * val
+    if any(v % modulus for v in acc.values()):
         return False
     return sum(yr * br for yr, br in zip(y, b)) % modulus != 0
 
@@ -348,10 +358,6 @@ class SmithNF:
         return SolveResult(solution=x, certificate=None)
 
 
-def smith_normal_form(rows: Sequence) -> SmithNF:
-    return SmithNF(rows)
-
-
 def smith_solve(system: SmithSystem) -> SolveResult:
     """Solve A x = b (mod m'), or certify that no solution exists.
 
@@ -368,11 +374,13 @@ def smith_solve(system: SmithSystem) -> SolveResult:
     if all(v % m == 0 for v in b):
         # the zero vector always solves a homogeneous system
         return SolveResult(solution=(0,) * system.ncols, certificate=None)
-    result = SmithNF(A).solve_mod(b, m)
+    rows = sparse(A)
+    result = SmithNF([dict(r) for r in rows],
+                     ncols=system.ncols).solve_mod(b, m)
     if result.solvable:
-        assert verify_solution(A, b, m, result.solution), \
-            "internal error: solver witness failed re-verification"
-    else:
-        assert verify_certificate(A, b, m, result.certificate), \
-            "internal error: infeasibility certificate failed re-verification"
+        if not verify_solution(rows, b, m, result.solution):
+            raise AssemblyError("solver witness failed re-verification")
+    elif not verify_certificate(rows, b, m, result.certificate):
+        raise AssemblyError("infeasibility certificate failed "
+                            "re-verification")
     return result

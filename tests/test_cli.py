@@ -335,6 +335,17 @@ class TestObstruction:
         assert code2 == 3
         assert "reason: dropped-ratio 18/35 exceeds threshold 1/4" in out2
 
+    def test_empty_family_value(self, cylinder_file, tmp_path, capsys):
+        lines = open(cylinder_file).read().splitlines()
+        idx = next(i for i, line in enumerate(lines)
+                   if line.startswith("family ="))
+        lines[idx] = "family ="
+        path = tmp_path / "no-family.scenario"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = invoke(capsys, "obstruction", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: line %d: family line has no value\n" % (idx + 1)
+
     def test_missing_sections(self, trivial_file, capsys):
         code, _, err = invoke(capsys, "obstruction", trivial_file)
         assert code == 1

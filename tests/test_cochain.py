@@ -1,6 +1,7 @@
 """Tests for finite cochain modules, the coboundary, and the pi_1-action."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -191,7 +192,7 @@ class TestCoboundary:
         tau = CochainTable(q=0, values={(): [(3,)] * 4})
         delta = coboundary(tau, mod)
         assert delta == zero_cochain(mod, 1)
-        assert is_cocycle(tau, mod).ok
+        assert is_cocycle(delta, mod).ok
 
     def test_degree0_values(self):
         mod = shift_module(4, 4, m_prime=4)
@@ -212,18 +213,27 @@ class TestCoboundary:
             q=1, values={((u,),): [(1 if u == 3 else 0,)] for u in range(4)})
         check = is_cocycle(bump, mod)
         assert not check.ok
-        assert (((3,), (3,)) + (0,)) in check.violations
-        # delta bump(u1, u2) = bump(u2) - bump(u1+u2) + bump(u1)
-        expect = [us + (0,) for us in
-                  itertools.product([(u,) for u in range(4)], repeat=2)
-                  if ((us[1][0] == 3) - ((us[0][0] + us[1][0]) % 4 == 3)
-                      + (us[0][0] == 3)) % 4 != 0]
-        assert list(check.violations) == expect
+        # the generator value bump(1) = 0 satisfies the torsion row and
+        # expands to bump(3) = 0 + 0 + 0; the table says 1 at u = 3
+        assert check.violations == (("cocycle", (3,), 0),)
+
+    def test_failed_relation_named(self):
+        # tau(u) = u mod 3 on one point: the generator value 1 meets the
+        # torsion row 4 * 1 = 0 mod 4, but not mod 8
+        table = CochainTable(q=1, values={((u,),): [(u % 3,)]
+                                          for u in range(4)})
+        mod4 = shift_module(1, 4, c=(0,), m_prime=4)
+        mod8 = shift_module(1, 4, c=(0,), m_prime=8)
+        assert is_cocycle(table, mod4).violations == (("cocycle", (3,), 0),)
+        assert is_cocycle(table, mod8).violations \
+            == (("torsion", 0, 0), ("cocycle", (3,), 0))
 
     def test_zero_cochain_is_cocycle(self):
         mod = shift_module(4, 2)
-        for q in (0, 1):
-            assert is_cocycle(zero_cochain(mod, q), mod).ok
+        assert is_cocycle(zero_cochain(mod, 1), mod).ok
+        for q in (0, 2):
+            with pytest.raises(InputError):
+                is_cocycle(zero_cochain(mod, q), mod)
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from([(2, 2), (2, 4), (4, 4), (3, 3), (4, 8)]),
@@ -236,7 +246,47 @@ class TestCoboundary:
         tau = fill_cochain(mod, q, seed)
         twice = coboundary(coboundary(tau, mod), mod)
         assert twice == zero_cochain(mod, q + 2)
-        assert is_cocycle(coboundary(tau, mod), mod).ok
+        if q == 0:
+            assert is_cocycle(coboundary(tau, mod), mod).ok
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([((1,), 2, 2), ((1,), 3, 3), ((1,), 4, 4),
+                            ((2,), 8, 4), ((1, 0), 2, 2), ((0, 1), 3, 3),
+                            ((1, 1), 4, 2), ((1, 2), 4, 4)]),
+           st.sampled_from([2, 3, 4, 6]), st.sampled_from([1, 2]),
+           st.sampled_from(["random", "delta", "bumped"]),
+           st.integers(0, 10**6))
+    def test_agrees_with_coboundary(self, shape, m_prime, k, kind, seed):
+        # differential check of the generator presentation against the
+        # generic coboundary on total tables: tau is a cocycle iff delta tau
+        # vanishes on every defined entry
+        c, m, d = shape
+        mod = shift_module(d, m, c=c, m_prime=m_prime, k=k)
+        rng = random.Random(seed)
+        if kind == "random":
+            tau = fill_cochain(mod, 1, seed)
+        else:
+            # delta f plus a homomorphism u -> g . u, m g = 0 mod m'
+            step = m_prime // math.gcd(m, m_prime)
+            g = [[step * rng.randrange(m_prime) for _ in range(k)]
+                 for _ in c]
+            delta = coboundary(fill_cochain(mod, 0, seed), mod)
+            tau = CochainTable(q=1, values={
+                (u,): [tuple((v + sum(gj[i] * uj for gj, uj in zip(g, u)))
+                             % m_prime for i, v in enumerate(vec))
+                       for vec in col]
+                for (u,), col in delta.values.items()})
+            assert kind == "bumped" or is_cocycle(tau, mod).ok
+        if kind == "bumped":
+            col = tau.values[rng.choice(sorted(tau.values))]
+            x, i = rng.randrange(d), rng.randrange(k)
+            col[x] = tuple((v + rng.randrange(1, m_prime)) % m_prime
+                           if idx == i else v
+                           for idx, v in enumerate(col[x]))
+        delta_zero = all(v is None or not any(v)
+                         for col in coboundary(tau, mod).values.values()
+                         for v in col)
+        assert is_cocycle(tau, mod).ok == delta_zero
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 1), st.integers(0, 10**6), st.integers(0, 10**6))

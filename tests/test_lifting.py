@@ -1,16 +1,23 @@
 """Tests for chart liftings, gluing, the obstruction table and its solver."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toruslift.lifting as ob
 from toruslift.cochain import (
     CochainTable,
     FiniteModule,
     build_finite_module,
+    coboundary,
     cochain_add,
+    expand_witness,
+    generator_columns,
+    generator_terms,
     is_cocycle,
     pi1_act,
     u_keys,
@@ -26,6 +33,7 @@ from toruslift.errors import (
 from toruslift.groups import AtlasModel, FPGroup, Representation
 from toruslift.nerve import ChartCorrections, GLCocycle, Nerve, \
     chart_corrections
+from toruslift.smith import verify_certificate
 from toruslift.torus import TorusAut, polar, standard_act
 
 F = Fraction
@@ -109,7 +117,61 @@ def one_point_module(m=2, m_prime=2, k=1):
                         pi1_group=FPGroup.free(1))
 
 
+def pair_scan_ok(lifting):
+    """Brute-force oracle: c(0, z) = 0 and c(u1+u2, z) = c(u1, u2.z) +
+    c(u2, z) over all m^{2n} pairs, every entry read present."""
+    m, mp, n = lifting.m, lifting.m_prime, lifting.n
+    table = lifting.table
+    for z in lifting.samples:
+        if table.get(((0,) * n, z)) != (0,) * lifting.k:
+            return False
+    keys = list(u_keys(n, m))
+    for u1 in keys:
+        for u2 in keys:
+            total = tuple((a + b) % m for a, b in zip(u1, u2))
+            frac = tuple(F(v, m) for v in u2)
+            for z in lifting.samples:
+                lhs, rhs = table.get((total, z)), table.get((u2, z))
+                at_moved = table.get((u1, standard_act(frac, z)))
+                if lhs is None or rhs is None or at_moved is None:
+                    return False
+                if lhs != tuple((a + b) % mp for a, b in zip(at_moved, rhs)):
+                    return False
+    return True
+
+
 class TestChartLifting:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3, 4]),
+           st.sampled_from(["valid", "bumped", "partial", "sample-gone"]),
+           st.integers(0, 10**6))
+    def test_agrees_with_pair_scan(self, m, kind, seed):
+        # valid tables: c(u, z) = f(u.z) - f(z) + g . u, a coboundary plus
+        # a homomorphism; the others break them in one place
+        rng = random.Random(seed)
+        samples = [polar(((1, F(i, m)), (2, F(j, m))))
+                   for i in range(m) for j in range(m)]
+        f = {z: rng.randrange(m) for z in samples}
+        g = (rng.randrange(m), rng.randrange(m))
+        table = {}
+        for u in u_keys(2, m):
+            frac = tuple(F(v, m) for v in u)
+            for z in samples:
+                table[(u, z)] = ((f[standard_act(frac, z)] - f[z]
+                                  + g[0] * u[0] + g[1] * u[1]) % m,)
+        key = rng.choice(sorted(table))
+        if kind == "bumped":
+            table[key] = ((table[key][0] + rng.randrange(1, m)) % m,)
+        elif kind == "partial":
+            del table[key]
+        elif kind == "sample-gone":
+            table = {(u, z): v for (u, z), v in table.items() if z != key[1]}
+        lifting = ob.ChartLifting("c", m, m, table, n=2, k=1)
+        report = ob.check_chart_lifting(lifting)
+        assert report.ok == pair_scan_ok(lifting) == (kind == "valid")
+        if kind in ("partial", "sample-gone"):
+            assert any(v[0] == "missing" for v in report.violations)
+
     def test_zero_table_valid(self):
         model = seam_model()[0]
         lifting = make_lifting(model, "c2", lambda u, z: (0,), 2)
@@ -131,8 +193,9 @@ class TestChartLifting:
         report = ob.check_chart_lifting(bump)
         assert not report.ok
         z = samples[0]
-        # 1 + 1 != 1 when both parts and the sum are nonzero
-        assert ("cocycle", (1, 0), (2, 0), z) in report.violations
+        # c(3, 0) = c(1, 0) + c(2, 0) fails, 1 != 1 + 1: the generator
+        # expansion of u = (3, 0) gives 3, not the tabulated 1
+        assert ("cocycle", (3, 0), z) in report.violations
 
     def test_nonzero_at_identity_listed(self):
         model = seam_model()[0]
@@ -341,7 +404,7 @@ class TestSigma:
         lifting, model, rho, corrections = assembled(m=4, m_prime=4)
         module = module_for(model, rho, corrections, 1, 4)
         nu = coord_cochain(module, coord=1)
-        twisted = ob.twist_lifting(lifting, module, nu)
+        twisted = lifting.with_twist(module, nu)
         sigma = ob.compute_sigma(twisted, module)
         cob = ob.deck_coboundary(nu, module)
         for u in u_keys(2, 4):
@@ -356,8 +419,7 @@ class TestSigma:
         # nu(u) = u_2, rho(t) = [[1,0],[-1,1]]: sigma(t, u, x) = -u_1
         lifting, model, rho, corrections = assembled(m=4, m_prime=4)
         module = module_for(model, rho, corrections, 1, 4)
-        twisted = ob.twist_lifting(lifting, module,
-                                   coord_cochain(module, coord=1))
+        twisted = lifting.with_twist(module, coord_cochain(module, coord=1))
         sigma = ob.compute_sigma(twisted, module)
         for u in u_keys(2, 4):
             for v in sigma.tables[0].values[(u,)]:
@@ -367,8 +429,7 @@ class TestSigma:
     def test_out_of_window_entries_match_deck_table(self):
         lifting, model, rho, corrections = assembled(m=2, m_prime=2)
         module = module_for(model, rho, corrections, 1, 2)
-        twisted = ob.twist_lifting(lifting, module,
-                                   coord_cochain(module, coord=1))
+        twisted = lifting.with_twist(module, coord_cochain(module, coord=1))
         sigma = ob.compute_sigma(twisted, module)
         for u in u_keys(2, 2):
             col = sigma.tables[0].values[(u,)]
@@ -381,10 +442,8 @@ class TestSigma:
         module = module_for(model, rho, corrections, 1, 2)
         nu1 = coord_cochain(module, coord=0)
         nu2 = coord_cochain(module, coord=1)
-        once = ob.twist_lifting(ob.twist_lifting(lifting, module, nu1),
-                                module, nu2)
-        both = ob.twist_lifting(lifting, module,
-                                cochain_add(nu1, nu2, module))
+        once = lifting.with_twist(module, nu1).with_twist(module, nu2)
+        both = lifting.with_twist(module, cochain_add(nu1, nu2, module))
         sa = ob.compute_sigma(once, module)
         sb = ob.compute_sigma(both, module)
         assert sa == sb
@@ -393,8 +452,7 @@ class TestSigma:
         # sigma(a1 a2) = sigma(a2) + sigma(a1) . a2
         lifting, model, rho, corrections = assembled(m=2, m_prime=2)
         module = module_for(model, rho, corrections, 2, 2)
-        twisted = ob.twist_lifting(lifting, module,
-                                   coord_cochain(module, coord=1))
+        twisted = lifting.with_twist(module, coord_cochain(module, coord=1))
         single = ob.sigma_word(twisted, module, ((0, 1),))
         double = ob.sigma_word(twisted, module, ((0, 2),))
         acted = pi1_act(single, ((0, 1),), module)
@@ -430,13 +488,30 @@ class TestDeckCoboundary:
         cob = ob.deck_coboundary(tau, module)
         assert is_cocycle(cob.tables[0], module).ok
 
+    def test_partial_tables_of_cocycles_pass(self):
+        # deck coboundaries of genuine cocycles are partial at the window;
+        # the cocycle check reads only their defined entries
+        lifting, model, rho, corrections = assembled(m=4, m_prime=4)
+        module = module_for(model, rho, corrections, 1, 4)
+        rng = random.Random(5)
+        for _ in range(3):
+            f = [(rng.randrange(4),) for _ in range(module.size)]
+            delta = coboundary(CochainTable(q=0, values={(): f}), module)
+            tau = cochain_add(delta, coord_cochain(module, coord=1,
+                                                   scale=rng.randrange(4)),
+                              module)
+            assert is_cocycle(tau, module).ok
+            cob = ob.deck_coboundary(tau, module).tables[0]
+            assert any(v is None for col in cob.values.values() for v in col)
+            assert is_cocycle(cob, module).ok
+
 
 class TestExpand:
     def test_expansion_walks_suffixes(self):
         module = one_point_module(m=4)
         # one point: all classes collapse, terms count u
-        assert ob.expand_generators(module, (3,), 0) \
-            == [(0, 0), (0, 0), (0, 0)]
+        terms = generator_terms(generator_columns(module), (3,))
+        assert [(j, col[0]) for j, col in terms] == [(0, 0), (0, 0), (0, 0)]
 
     def test_expand_witness_is_cocycle(self):
         lifting, model, rho, corrections = assembled(m=2, m_prime=4)
@@ -446,7 +521,7 @@ class TestExpand:
         # arbitrary generator data fails torsion/commutation in general;
         # zero data expands to the zero cocycle
         zeros = {key: (0,) for key in gen_values}
-        tab = ob.expand_witness(module, zeros)
+        tab = expand_witness(module, zeros)
         assert tab == zero_cochain(module, 1)
 
 
@@ -464,7 +539,7 @@ class TestVanishing:
         lifting, model, rho, corrections = assembled(m=4, m_prime=4)
         module = module_for(model, rho, corrections, 1, 4)
         nu = coord_cochain(module, coord=1)
-        twisted = ob.twist_lifting(lifting, module, nu)
+        twisted = lifting.with_twist(module, nu)
         sigma = ob.compute_sigma(twisted, module)
         report = ob.test_vanishing(sigma, module)
         assert report.verdict == "vanishing-at-scale"
@@ -489,8 +564,7 @@ class TestVanishing:
         cert = report.certificate
         assert cert.fiber_coordinate == 0
         assert any(v % 2 for v in cert.vector)
-        assert ob._verify_combination(report.rows, report.rhs[0], 2,
-                                      cert.vector)
+        assert verify_certificate(report.rows, report.rhs[0], 2, cert.vector)
         # brute force: no tau table has this coboundary
         for g in range(2):
             tau = CochainTable(q=1, values={((0,),): [(0,)],
@@ -519,8 +593,7 @@ class TestVanishing:
     def test_dropped_ratio_and_threshold(self):
         lifting, model, rho, corrections = assembled(m=4, m_prime=4)
         module = module_for(model, rho, corrections, 1, 4)
-        twisted = ob.twist_lifting(lifting, module,
-                                   coord_cochain(module, coord=1))
+        twisted = lifting.with_twist(module, coord_cochain(module, coord=1))
         sigma = ob.compute_sigma(twisted, module)
         report = ob.test_vanishing(sigma, module)
         assert report.dropped_ratio == F(1, 4)
@@ -532,8 +605,7 @@ class TestVanishing:
     def test_reports_are_deterministic(self):
         lifting, model, rho, corrections = assembled(m=2, m_prime=2)
         module = module_for(model, rho, corrections, 1, 2)
-        twisted = ob.twist_lifting(lifting, module,
-                                   coord_cochain(module, coord=1))
+        twisted = lifting.with_twist(module, coord_cochain(module, coord=1))
         sigma = ob.compute_sigma(twisted, module)
         first = ob.test_vanishing(sigma, module)
         second = ob.test_vanishing(sigma, module)
@@ -563,8 +635,7 @@ class TestReconstruct:
     def test_wrong_witness_rejected(self):
         lifting, model, rho, corrections = assembled(m=4, m_prime=4)
         module = module_for(model, rho, corrections, 1, 4)
-        twisted = ob.twist_lifting(lifting, module,
-                                   coord_cochain(module, coord=1))
+        twisted = lifting.with_twist(module, coord_cochain(module, coord=1))
         wrong = coord_cochain(module, coord=0)   # a cocycle, not a witness
         with pytest.raises(ReconstructionError):
             ob.reconstruct_lifting(twisted, module, wrong)
@@ -580,8 +651,7 @@ class TestReconstruct:
     def test_repaired_lifting_is_homomorphism(self):
         lifting, model, rho, corrections = assembled(m=4, m_prime=4)
         module = module_for(model, rho, corrections, 1, 4)
-        twisted = ob.twist_lifting(lifting, module,
-                                   coord_cochain(module, coord=1))
+        twisted = lifting.with_twist(module, coord_cochain(module, coord=1))
         sigma = ob.compute_sigma(twisted, module)
         witness = ob.test_vanishing(sigma, module).witness
         repaired = ob.reconstruct_lifting(twisted, module, witness)

@@ -1,17 +1,27 @@
 """Tests for integer Smith normal form and the modular system solver."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import toruslift.smith as smith
+from toruslift.errors import AssemblyError
 from toruslift.smith import (
     SmithNF,
     SmithSystem,
     SolveResult,
     smith_solve,
+    sparse,
     verify_certificate,
     verify_solution,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def brute_force_solutions(A, b, m, ncols):
@@ -142,7 +152,7 @@ class TestModularSolve:
         res = smith_solve(SmithSystem(A=((2,),), b=(1,), modulus=4))
         assert not res.solvable
         assert res.certificate == (2,)
-        assert verify_certificate([[2]], [1], 4, res.certificate)
+        assert verify_certificate(sparse([[2]]), [1], 4, res.certificate)
 
     def test_feasible_congruence(self):
         res = smith_solve(SmithSystem(A=((2,),), b=(2,), modulus=4))
@@ -167,7 +177,8 @@ class TestModularSolve:
         for b in ([1, 1], [0, 2], [5, 3]):
             res = snf.solve_mod(b, 6)
             assert res.solvable
-            assert verify_solution([[1, 2], [3, 4]], b, 6, res.solution)
+            assert verify_solution(sparse([[1, 2], [3, 4]]), b, 6,
+                                   res.solution)
 
     @given(small_matrix,
            st.lists(st.integers(min_value=-4, max_value=4), min_size=1,
@@ -183,10 +194,10 @@ class TestModularSolve:
         brute = brute_force_solutions(A, b, m, nc)
         if brute:
             assert res.solvable
-            assert verify_solution(A, b, m, res.solution)
+            assert verify_solution(sparse(A), b, m, res.solution)
         else:
             assert not res.solvable
-            assert verify_certificate(A, b, m, res.certificate)
+            assert verify_certificate(sparse(A), b, m, res.certificate)
 
     def test_solution_entries_are_reduced(self):
         res = smith_solve(SmithSystem(A=((1, 0), (0, 1)), b=(-1, 9),
@@ -197,3 +208,38 @@ class TestModularSolve:
         res = smith_solve(SmithSystem(A=((2,),), b=(1,), modulus=4))
         assert isinstance(res, SolveResult)
         assert res.pivot_row == 0
+
+
+class TestReverification:
+    """smith_solve re-checks its answer with explicit raises, not assert."""
+
+    FEASIBLE = SmithSystem(A=((2,),), b=(2,), modulus=4)
+    INFEASIBLE = SmithSystem(A=((2,),), b=(1,), modulus=4)
+
+    def test_failed_witness_check_raises(self, monkeypatch):
+        monkeypatch.setattr(smith, "verify_solution", lambda *args: False)
+        with pytest.raises(AssemblyError):
+            smith_solve(self.FEASIBLE)
+
+    def test_failed_certificate_check_raises(self, monkeypatch):
+        monkeypatch.setattr(smith, "verify_certificate", lambda *args: False)
+        with pytest.raises(AssemblyError):
+            smith_solve(self.INFEASIBLE)
+
+    def test_raises_under_optimize(self):
+        code = (
+            "import toruslift.smith as s\n"
+            "from toruslift.errors import AssemblyError\n"
+            "s.verify_solution = s.verify_certificate = lambda *a: False\n"
+            "for b in ((2,), (1,)):\n"
+            "    try:\n"
+            "        s.smith_solve(s.SmithSystem(A=((2,),), b=b, modulus=4))\n"
+            "    except AssemblyError:\n"
+            "        print('raised')\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["raised", "raised"]
