@@ -16,7 +16,7 @@ from .errors import (  # noqa: F401
 from .torus import (  # noqa: F401
     Angle, TorusPoint, PolarPoint, CornerPoint, TorusAut,
     mod1, angle, format_angle, torus_point, point_add, point_neg, zero_point,
-    apply_aut, polar, standard_act, moment_map, stratum,
+    polar, standard_act, moment_map, stratum,
 )
 from .smith import (  # noqa: F401
     SmithSystem, SolveResult, SmithNF, smith_solve, verify_solution,

@@ -190,7 +190,7 @@ def run_check_lifting_data(scn):
     total += len(greport.violations)
 
     try:
-        chart_corrections(scn.nerve, scn.cocycle, scn.rho)
+        corrections = chart_corrections(scn.nerve, scn.cocycle, scn.rho)
     except NoCorrection as exc:
         lines.append("violation: representation %s" % exc)
         total += 1
@@ -213,7 +213,6 @@ def run_check_lifting_data(scn):
 
     if total == 0:
         try:
-            corrections = chart_corrections(scn.nerve, scn.cocycle, scn.rho)
             assemble_global_lifting(scn.model, corrections, scn.rho,
                                     scn.liftings, scn.gluing)
         except (AssemblyError, Error) as exc:

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError, OutOfModel
 from .groups import AtlasModel, FPGroup, Representation, Word
 from .nerve import ChartCorrections
-from .torus import TorusAut, standard_act
+from .torus import TorusAut, compose_columns
 
 UKey = Tuple[int, ...]          # element of (Z/m)^n as integers mod m
 Vec = Tuple[int, ...]           # element of Z_{m'}^k
@@ -162,10 +161,7 @@ class FiniteModule:
             if sorted(v for v in col) != list(range(size)):
                 bad.append(("torus-not-bijective", j))
                 continue
-            walk = list(range(size))
-            for _ in range(self.m):
-                walk = [col[c] for c in walk]
-            if walk != list(range(size)):
+            if compose_columns([col], (self.m,), size) != list(range(size)):
                 bad.append(("torus-torsion", j))
         for i in range(self.n):
             for j in range(i + 1, self.n):
@@ -174,11 +170,7 @@ class FiniteModule:
                         bad.append(("torus-noncommuting", i, j, c))
                         break
         for u in u_keys(self.n, self.m):
-            expect = list(range(size))
-            for j in range(self.n):
-                for _ in range(u[j]):
-                    expect = [gens[j][c] for c in expect]
-            if expect != self._torus[u]:
+            if compose_columns(gens, u, size) != self._torus[u]:
                 bad.append(("torus-not-generated", u))
         for i in range(self.pi1_rank):
             fwd, rev = self._deck[(i, 1)], self._deck[(i, -1)]
@@ -231,10 +223,10 @@ def build_finite_module(model: AtlasModel, rho: Representation,
                         fiber_rank: int, fiber_order: int) -> FiniteModule:
     """Enumerate the windowed fiber product of an atlas and tabulate actions.
 
-    Points are (chart, deck word, sample) triples with deck words in the
-    ball of the given radius, identified across overlaps whenever both
+    Points are (chart, deck word, sample index) triples with deck words in
+    the ball of the given radius, identified across overlaps whenever both
     presentations fall inside the window.  Canonical representatives are
-    minimal by (deck length, deck word, chart position, sample position).
+    minimal by (deck length, deck word, chart position, sample index).
     """
     if window < 0:
         raise InputError("window must be >= 0")
@@ -244,15 +236,9 @@ def build_finite_module(model: AtlasModel, rho: Representation,
     nerve = model.nerve
 
     chart_pos = {v: i for i, v in enumerate(nerve.vertices)}
-    sample_pos = {chart: {z: i for i, z in enumerate(model.samples[chart])}
-                  for chart in nerve.vertices}
-    nodes = []
-    node_index = {}
-    for chart in nerve.vertices:
-        for deck in ball:
-            for z in model.samples[chart]:
-                node_index[(chart, deck, z)] = len(nodes)
-                nodes.append((chart, deck, z))
+    nodes = [(chart, deck, z) for chart in nerve.vertices for deck in ball
+             for z in range(len(model.samples[chart]))]
+    node_index = {node: i for i, node in enumerate(nodes)}
 
     parent = list(range(len(nodes)))
 
@@ -271,9 +257,8 @@ def build_finite_module(model: AtlasModel, rho: Representation,
         for to_chart, from_chart in ((a, b), (b, a)):
             gen = corrections.edge_generator(to_chart, from_chart)
             trans = () if gen is None else group.normalize((gen,))
-            pairs = [(model.matched(to_chart, from_chart, z), z)
-                     for z in model.samples[from_chart]]
-            for z_to, z_from in pairs:
+            mates = model.match_indices(to_chart, from_chart)
+            for z_from, z_to in enumerate(mates):
                 if z_to is None:
                     continue
                 for deck in ball:
@@ -285,8 +270,7 @@ def build_finite_module(model: AtlasModel, rho: Representation,
 
     def node_key(idx):
         chart, deck, z = nodes[idx]
-        return (group.word_length(deck), deck, chart_pos[chart],
-                sample_pos[chart][z])
+        return (group.word_length(deck), deck, chart_pos[chart], z)
 
     roots: Dict[int, list] = {}
     for i in range(len(nodes)):
@@ -300,24 +284,15 @@ def build_finite_module(model: AtlasModel, rho: Representation,
     points = tuple(nodes[rep] for rep in reps)
 
     n, m = model.rank, model.torus_order
-    mats = {}
-    for chart, deck, _ in points:
-        if (chart, deck) not in mats:
-            mats[(chart, deck)] = (corrections.rho_alpha[chart]
-                                   * rho.of(deck))
+    mats = {(chart, deck): corrections.rho_alpha[chart] * rho.of(deck)
+            for chart, deck in {point[:2] for point in points}}
     torus_table = {}
     for u in u_keys(n, m):
-        column = []
-        for chart, deck, z in points:
-            w = mats[(chart, deck)].apply_mod(u, m)
-            moved = standard_act(tuple(Fraction(v, m) for v in w), z)
-            target = class_of_node.get((chart, deck, moved))
-            if target is None:
-                raise OutOfModel(
-                    "chart %s: rotated sample %r is not in the model"
-                    % (chart, moved))
-            column.append(target)
-        torus_table[u] = column
+        perms = {(chart, deck): model.rotation(chart, aut.apply_mod(u, m))
+                 for (chart, deck), aut in mats.items()}
+        torus_table[u] = [
+            class_of_node[(chart, deck, perms[(chart, deck)][z])]
+            for chart, deck, z in points]
 
     deck_tables = {}
     for i in range(group.rank):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import DimensionError, InputError, OutOfModel
@@ -26,6 +25,8 @@ from .torus import (
     PolarPoint,
     TorusAut,
     TorusPoint,
+    compose_columns,
+    grid_generators,
     mod1,
     standard_act,
     zero_point,
@@ -297,6 +298,10 @@ class AtlasModel:
     related by the transition automorphism, and the identification must
     commute with the subgroup action — that exactness is what makes
     chart-independent evaluation possible downstream.
+
+    The one class that knows what a sample is: ``samples[chart]`` keeps
+    the polar points for parse, emit and reports; below it a sample is its
+    index there, moved by ``rotation`` and matched by ``match_indices``.
     """
 
     def __init__(self, nerve: Nerve, cocycle: GLCocycle, torus_order: int,
@@ -311,7 +316,7 @@ class AtlasModel:
         self.torus_order = torus_order
         self.rank = cocycle.rank
         self.samples: Dict[str, tuple] = {}
-        self._sample_sets: Dict[str, frozenset] = {}
+        self._index: Dict[str, Dict[PolarPoint, int]] = {}
         for chart in nerve.vertices:
             pts = tuple(samples.get(chart, ()))
             for z in pts:
@@ -319,53 +324,51 @@ class AtlasModel:
                     raise InputError(
                         "chart %s: sample %r has rank %d, expected %d"
                         % (chart, z, len(z), self.rank))
-            if len(set(pts)) != len(pts):
+            index = {z: i for i, z in enumerate(pts)}
+            if len(index) != len(pts):
                 raise InputError("chart %s: duplicate samples" % (chart,))
             self.samples[chart] = pts
-            self._sample_sets[chart] = frozenset(pts)
+            self._index[chart] = index
         unknown = set(samples) - set(nerve.vertices)
         if unknown:
             raise InputError("samples for unknown chart(s): %s"
                              % ", ".join(sorted(unknown)))
-        self._check_closure()
-        self._match: Dict[Tuple[str, str], dict] = {}
-        self._ingest_matches(dict(matches) if matches else {})
-        self._check_match_equivariance()
-
-    def _generators(self):
-        m = self.torus_order
-        for i in range(self.rank):
-            yield tuple(Fraction(1, m) if j == i else Fraction(0)
-                        for j in range(self.rank))
-
-    def _check_closure(self):
+        # the generator permutations of each chart's samples; building
+        # them is the closure check
+        m = torus_order
+        self._gens = {}
         for chart, pts in self.samples.items():
-            have = self._sample_sets[chart]
-            for z in pts:
-                for gen in self._generators():
-                    if standard_act(gen, z) not in have:
+            gens = grid_generators(pts, self.rank, m)
+            for i, z in enumerate(pts):
+                for j, col in enumerate(gens):
+                    if col[i] is None:
                         raise InputError(
                             "chart %s: samples not closed under the order-%d "
-                            "subgroup (rotate %r by %s)"
-                            % (chart, self.torus_order, z, gen))
+                            "subgroup (rotate %r by e_%d)" % (chart, m, z, j))
+            self._gens[chart] = gens
+        self._perms: Dict[tuple, list] = {}
+        # per oriented overlap (to, from): from-sample index -> to-sample
+        # index, None where unmatched
+        self._match: Dict[Tuple[str, str], list] = {
+            (x, y): [None] * len(self.samples[y])
+            for a, b in nerve.edges for x, y in ((a, b), (b, a))}
+        self._ingest_matches(dict(matches) if matches else {})
+        self._check_match_equivariance()
 
     def _ingest_matches(self, matches):
         for (a, b), pairs in matches.items():
             if not self.nerve.has_edge(a, b):
                 raise InputError("match on (%s, %s): not an overlap" % (a, b))
             g = self.cocycle.get(a, b)
-            fwd = self._match.setdefault((a, b), {})
-            rev = self._match.setdefault((b, a), {})
+            fwd, rev = self._match[(a, b)], self._match[(b, a)]
             for za, zb in pairs:
-                if za not in self._sample_sets[a]:
-                    raise InputError(
-                        "match on (%s, %s): %r is not a sample of %s"
-                        % (a, b, za, a))
-                if zb not in self._sample_sets[b]:
-                    raise InputError(
-                        "match on (%s, %s): %r is not a sample of %s"
-                        % (a, b, zb, b))
-                if fwd.get(zb, za) != za or rev.get(za, zb) != zb:
+                ia, ib = self._index[a].get(za), self._index[b].get(zb)
+                for chart, z, i in ((a, za, ia), (b, zb, ib)):
+                    if i is None:
+                        raise InputError(
+                            "match on (%s, %s): %r is not a sample of %s"
+                            % (a, b, z, chart))
+                if fwd[ib] not in (None, ia) or rev[ia] not in (None, ib):
                     raise InputError(
                         "match on (%s, %s): sample identified twice" % (a, b))
                 want = tuple(mod1(v) for v in
@@ -375,31 +378,52 @@ class AtlasModel:
                     raise InputError(
                         "match on (%s, %s): angles of %r are not the "
                         "transition image of %r" % (a, b, za, zb))
-                fwd[zb] = za
-                rev[za] = zb
+                fwd[ib], rev[ia] = ia, ib
 
     def _check_match_equivariance(self):
+        m = self.torus_order
         for (a, b), fwd in self._match.items():
             g = self.cocycle.get(a, b)
-            for zb, za in fwd.items():
-                for gen in self._generators():
-                    moved = standard_act(gen, zb)
-                    if moved not in fwd:
+            images = [tuple(v % m for v in col) for col in zip(*g.rows)]
+            for ib, ia in enumerate(fwd):
+                if ia is None:
+                    continue
+                for col, w in zip(self._gens[b], images):
+                    moved = fwd[col[ib]]
+                    if moved is None:
                         raise InputError(
                             "overlap (%s, %s): identified samples not closed "
-                            "under the subgroup action at %r" % (a, b, zb))
-                    if fwd[moved] != standard_act(g.apply(gen), za):
+                            "under the subgroup action at %r"
+                            % (a, b, self.samples[b][ib]))
+                    if moved != self.rotation(a, w)[ia]:
                         raise InputError(
                             "overlap (%s, %s): identification does not "
                             "commute with the subgroup action at %r"
-                            % (a, b, zb))
+                            % (a, b, self.samples[b][ib]))
+
+    def rotation(self, chart: str, w: Tuple[int, ...]) -> list:
+        """The rotation by w/m, w in (Z/m)^n reduced mod m, as a map of the
+        chart's sample indices (memoized per chart and w)."""
+        perm = self._perms.get((chart, w))
+        if perm is None:
+            perm = self._perms[(chart, w)] = compose_columns(
+                self._gens[chart], w, len(self.samples[chart]))
+        return perm
+
+    def match_indices(self, to_chart: str, from_chart: str) -> list:
+        """Per sample index of ``from_chart``, the index of the identified
+        sample of ``to_chart``, or None (the charts must overlap)."""
+        return self._match[(to_chart, from_chart)]
 
     def has_sample(self, chart: str, z: PolarPoint) -> bool:
-        return z in self._sample_sets[chart]
+        return z in self._index[chart]
 
     def matched(self, to_chart: str, from_chart: str, z: PolarPoint):
         """The sample of ``to_chart`` identified with z, or None."""
-        return self._match.get((to_chart, from_chart), {}).get(z)
+        col = self._match.get((to_chart, from_chart))
+        i = None if col is None else self._index[from_chart].get(z)
+        j = None if i is None else col[i]
+        return None if j is None else self.samples[to_chart][j]
 
     def translate(self, pt: FiberedPoint, to_chart: str, group: FPGroup,
                   corrections: ChartCorrections) -> FiberedPoint:

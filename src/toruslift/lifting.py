@@ -45,8 +45,8 @@ from .errors import (
 )
 from .groups import Representation
 from .nerve import ChartCorrections
-from .smith import SmithNF, verify_certificate, verify_solution
-from .torus import PolarPoint, standard_act
+from .smith import solve_verified
+from .torus import PolarPoint, grid_generators
 
 Vec = Tuple[int, ...]
 
@@ -108,12 +108,11 @@ class ChartLifting:
                              "were not supplied" % chart)
         self.samples = tuple(sorted({z for _, z in self.table}))
 
-    def value(self, u: tuple, z: PolarPoint) -> Vec:
-        try:
-            return self.table[(u, z)]
-        except KeyError:
-            raise OutOfModel("chart %s has no lifting entry at (%r, %r)"
-                             % (self.chart, u, z))
+
+def _table_columns(lifting: ChartLifting, samples, n: int, m: int) -> dict:
+    """u in (Z/m)^n -> the table entries at ``samples``, None if absent."""
+    return {u: [lifting.table.get((u, z)) for z in samples]
+            for u in u_keys(n, m)}
 
 
 def check_chart_lifting(lifting: ChartLifting) -> LiftingReport:
@@ -123,18 +122,11 @@ def check_chart_lifting(lifting: ChartLifting) -> LiftingReport:
     a rotation that leaves the samples, is listed as missing."""
     m, n = lifting.m, lifting.n
     samples = lifting.samples
-    pos = {z: i for i, z in enumerate(samples)}
-    violations = []
-    gens = []
-    for j in range(n):
-        ej = tuple(1 % m if i == j else 0 for i in range(n))
-        frac = tuple(Fraction(v, m) for v in ej)
-        col = [pos.get(standard_act(frac, z)) for z in samples]
-        violations.extend(("missing", ej, z)
-                          for z, x in zip(samples, col) if x is None)
-        gens.append(col)
-    columns = {u: [lifting.table.get((u, z)) for z in samples]
-               for u in u_keys(n, m)}
+    gens = grid_generators(samples, n, m)
+    violations = [("missing", tuple(int(i == j) % m for i in range(n)),
+                   samples[x]) for j, col in enumerate(gens)
+                  for x, moved in enumerate(col) if moved is None]
+    columns = _table_columns(lifting, samples, n, m)
     for u, col in columns.items():
         violations.extend(("missing", u, z)
                           for z, vec in zip(samples, col) if vec is None)
@@ -233,34 +225,34 @@ def check_equivariant_gluing(model, a: str, b: str, lift_a: ChartLifting,
     for every matched sample z of chart b and every u.  This is exactly
     chart-independence of the assembled lifted action on the overlap.
     """
-    m, mp = lift_b.m, gluing.m_prime
+    m, mp = model.torus_order, gluing.m_prime
     aut = model.cocycle.get(a, b)
+    samples_a, samples_b = model.samples[a], model.samples[b]
+    mates = model.match_indices(a, b)
     violations = []
-    for z in model.samples[b]:
-        mate = model.matched(a, b, z)
+    if all(mate is None for mate in mates):
+        return LiftingReport(violations=())
+    cols_a = _table_columns(lift_a, samples_a, model.rank, m)
+    cols_b = _table_columns(lift_b, samples_b, model.rank, m)
+    glue = [gluing.get_table(a, b).get(z) for z in samples_b]
+    for zi, mate in enumerate(mates):
         if mate is None:
             continue
-        for u in u_keys(lift_b.n, m):
-            frac = tuple(Fraction(v, m) for v in u)
-            moved = standard_act(frac, z)
-            try:
-                lhs = _vadd(lift_b.value(u, z), gluing.value(a, b, moved),
-                            mp)
-                rhs = _vadd(gluing.value(a, b, z),
-                            lift_a.value(aut.apply_mod(u, m), mate), mp)
-            except OutOfModel:
-                violations.append(("missing", a, b, u, z))
-                continue
-            if lhs != rhs:
-                violations.append(("equivariance", a, b, u, z))
+        for u in u_keys(model.rank, m):
+            terms = (cols_b[u][zi], glue[model.rotation(b, u)[zi]],
+                     glue[zi], cols_a[aut.apply_mod(u, m)][mate])
+            if None in terms:
+                violations.append(("missing", a, b, u, samples_b[zi]))
+            elif _vadd(*terms[:2], mp) != _vadd(*terms[2:], mp):
+                violations.append(("equivariance", a, b, u, samples_b[zi]))
     return LiftingReport(violations=tuple(violations))
 
 
 class GlobalLifting:
     """Evaluators for the lifted torus action and the deck action.
 
-    Points are presentations (chart, deck word, sample) paired with a
-    fiber coordinate in Z_{m'}^k.  The lifted torus action rotates the
+    Points are presentations (chart, deck word, sample index) paired with
+    a fiber coordinate in Z_{m'}^k.  The lifted torus action rotates the
     sample by rho_alpha(rho(deck)(u)) and shifts the fiber by the chart
     table at the source sample; the deck action multiplies the deck word
     on the right by the inverse and leaves the fiber coordinate alone
@@ -285,7 +277,17 @@ class GlobalLifting:
         self.k = some.k
         self.twist = twist          # (FiniteModule, CochainTable) or None
         self._mats = {}
-        self._rotations = {}
+        # chart -> u -> per sample index: fiber shift or None
+        self._shift = {
+            chart: _table_columns(lifting, model.samples[chart], self.n,
+                                  self.m)
+            for chart, lifting in self.liftings.items()
+            if chart in model.samples}
+        # (to, from) -> per from-sample index: gluing shift or None
+        self._glue = {
+            (x, y): [gluing.get_table(x, y).get(z)
+                     for z in model.samples[y]]
+            for a, b in model.nerve.edges for x, y in ((a, b), (b, a))}
 
     def _branch_aut(self, chart, deck):
         key = (chart, deck)
@@ -294,25 +296,14 @@ class GlobalLifting:
                                * self.rho.of(deck))
         return self._mats[key]
 
-    def _rotate(self, chart, w, z):
-        """Rotate a chart sample by w/m, memoized per (chart, w)."""
-        key = (chart, w)
-        table = self._rotations.get(key)
-        if table is None:
-            frac = tuple(Fraction(v, self.m) for v in w)
-            table = {zs: standard_act(frac, zs)
-                     for zs in self.model.samples[chart]}
-            self._rotations[key] = table
-        moved = table.get(z)
-        if moved is None:
-            return standard_act(tuple(Fraction(v, self.m) for v in w), z)
-        return moved
-
     def source_shift(self, u: tuple, node) -> Vec:
         """Fiber shift of the lifted action of u at the given presentation."""
         chart, deck, z = node
         w = self._branch_aut(chart, deck).apply_mod(u, self.m)
-        shift = self.liftings[chart].value(w, z)
+        shift = self._shift[chart][w][z]
+        if shift is None:
+            raise OutOfModel("chart %s has no lifting entry at (%r, %r)"
+                             % (chart, w, self.model.samples[chart][z]))
         if self.twist is not None:
             module, table = self.twist
             cls = module.class_of.get(node)
@@ -328,18 +319,14 @@ class GlobalLifting:
     def act_T(self, u: tuple, node, t: Vec):
         chart, deck, z = node
         w = self._branch_aut(chart, deck).apply_mod(u, self.m)
-        moved = self._rotate(chart, w, z)
-        if not self.model.has_sample(chart, moved):
-            raise OutOfModel("rotated sample %r left chart %s"
-                             % (moved, chart))
-        return (chart, deck, moved), \
-            _vadd(t, self.source_shift(u, node), self.m_prime)
+        moved = (chart, deck, self.model.rotation(chart, w)[z])
+        return moved, _vadd(t, self.source_shift(u, node), self.m_prime)
 
     def act_T_inv(self, u: tuple, node, t: Vec):
         chart, deck, z = node
         w = self._branch_aut(chart, deck).apply_mod(u, self.m)
         back = tuple((-v) % self.m for v in w)
-        source = (chart, deck, self._rotate(chart, back, z))
+        source = (chart, deck, self.model.rotation(chart, back)[z])
         return source, _vsub(t, self.source_shift(u, source), self.m_prime)
 
     def act_pi1(self, word, node, t: Vec):
@@ -363,15 +350,18 @@ class GlobalLifting:
             for node in frontier:
                 chart, deck, z = node
                 for other in self.model.nerve.neighbors(chart):
-                    mate = self.model.matched(other, chart, z)
+                    mate = self.model.match_indices(other, chart)[z]
                     if mate is None:
                         continue
+                    shift = self._glue[(other, chart)][z]
+                    if shift is None:
+                        raise OutOfModel(
+                            "no gluing value on (%s, %s) at %r"
+                            % (other, chart, self.model.samples[chart][z]))
                     gen = self.corrections.edge_generator(other, chart)
                     trans = () if gen is None else group.normalize((gen,))
                     target = (other, group.mul(trans, deck), mate)
-                    t_new = _vadd(seen[node],
-                                  self.gluing.value(other, chart, z),
-                                  self.m_prime)
+                    t_new = _vadd(seen[node], shift, self.m_prime)
                     if target in seen:
                         if seen[target] != t_new:
                             raise AssemblyError(
@@ -661,51 +651,35 @@ def test_vanishing(sigma: SigmaTable, module: FiniteModule,
 
     unknowns = n * size
     sparse_rows = tuple(tuple(sorted(r.items())) for r in rows)
-    nf = SmithNF([dict(r) for r in rows], ncols=unknowns)
-    solutions = []
-    for coord in range(module.k):
-        result = nf.solve_mod(tuple(rhs_columns[coord]), mp)
-        if not result.solvable:
-            cert = Certificate(fiber_coordinate=coord,
-                               vector=result.certificate)
-            if not verify_certificate(sparse_rows, rhs_columns[coord], mp,
-                                      cert.vector):
-                raise AssemblyError("infeasibility certificate failed "
-                                    "re-verification")
-            return ObstructionReport(
-                verdict="certified-nonvanishing", witness=None,
-                certificate=cert, m=m, m_prime=mp, n=n, k=module.k,
-                window=module.window, num_points=size, unknowns=unknowns,
-                rows=sparse_rows, row_labels=tuple(labels),
-                rhs=tuple(tuple(col) for col in rhs_columns),
-                sigma_rows_total=total, sigma_rows_dropped=dropped,
-                threshold=threshold)
-        if not verify_solution(sparse_rows, rhs_columns[coord], mp,
-                               result.solution):
-            raise AssemblyError("solver witness failed re-verification")
-        solutions.append(result.solution)
-
-    gen_values = {(j, c): tuple(solutions[coord][var(j, c)]
-                                for coord in range(module.k))
-                  for j in range(n) for c in range(size)}
-    witness = expand_witness(module, gen_values)
-    if not is_cocycle(witness, module).ok:
-        raise AssemblyError("expanded witness is not a torus cocycle")
-    cob = deck_coboundary(witness, module)
-    for i in range(module.pi1_rank):
-        for u in u_keys(n, m):
-            got = cob.tables[i].values[(u,)]
-            want = sigma.tables[i].values[(u,)]
-            for c in range(size):
-                if got[c] is not None and want[c] is not None \
-                        and got[c] != want[c]:
-                    raise AssemblyError(
-                        "witness coboundary disagrees with the obstruction "
-                        "at generator %d, u=%r, point %d" % (i, u, c))
-    ratio = Fraction(dropped, total) if total else Fraction(0)
-    verdict = "vanishing-at-scale" if ratio <= threshold else "indeterminate"
+    results = solve_verified(rows, unknowns, rhs_columns, mp)
+    witness = certificate = None
+    if results and not results[-1].solvable:
+        verdict = "certified-nonvanishing"
+        certificate = Certificate(fiber_coordinate=len(results) - 1,
+                                  vector=results[-1].certificate)
+    else:
+        witness = expand_witness(module, {
+            (j, c): tuple(result.solution[var(j, c)] for result in results)
+            for j in range(n) for c in range(size)})
+        if not is_cocycle(witness, module).ok:
+            raise AssemblyError("expanded witness is not a torus cocycle")
+        cob = deck_coboundary(witness, module)
+        for i in range(module.pi1_rank):
+            for u in u_keys(n, m):
+                got = cob.tables[i].values[(u,)]
+                want = sigma.tables[i].values[(u,)]
+                for c in range(size):
+                    if got[c] is not None and want[c] is not None \
+                            and got[c] != want[c]:
+                        raise AssemblyError(
+                            "witness coboundary disagrees with the "
+                            "obstruction at generator %d, u=%r, point %d"
+                            % (i, u, c))
+        ratio = Fraction(dropped, total) if total else Fraction(0)
+        verdict = ("vanishing-at-scale" if ratio <= threshold
+                   else "indeterminate")
     return ObstructionReport(
-        verdict=verdict, witness=witness, certificate=None, m=m,
+        verdict=verdict, witness=witness, certificate=certificate, m=m,
         m_prime=mp, n=n, k=module.k, window=module.window,
         num_points=size, unknowns=unknowns, rows=sparse_rows,
         row_labels=tuple(labels),

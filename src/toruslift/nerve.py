@@ -18,7 +18,7 @@ nerve's edge-path group.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -320,17 +320,23 @@ class ChartCorrections:
     rho_alpha: dict              # chart -> TorusAut
     tree: tuple
     generators: tuple
+    _edge_words: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        words = {}
+        for i, (a, b) in enumerate(self.generators):
+            words.setdefault((a, b), (i, 1))
+            words.setdefault((b, a), (i, -1))
+        for parent, child in self.tree:
+            words[(parent, child)] = words[(child, parent)] = None
+        object.__setattr__(self, "_edge_words", words)
 
     def edge_generator(self, a: str, b: str):
         """(generator index, exponent) for a non-tree overlap, else None."""
-        key = frozenset((a, b))
-        for parent, child in self.tree:
-            if frozenset((parent, child)) == key:
-                return None
-        for i, edge in enumerate(self.generators):
-            if frozenset(edge) == key:
-                return (i, 1 if edge == (a, b) else -1)
-        raise InputError("(%s, %s) is not an overlap" % (a, b))
+        try:
+            return self._edge_words[(a, b)]
+        except KeyError:
+            raise InputError("(%s, %s) is not an overlap" % (a, b))
 
 
 def chart_corrections(nerve: Nerve, cocycle: GLCocycle, rho,

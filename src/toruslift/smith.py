@@ -358,29 +358,36 @@ class SmithNF:
         return SolveResult(solution=x, certificate=None)
 
 
-def smith_solve(system: SmithSystem) -> SolveResult:
-    """Solve A x = b (mod m'), or certify that no solution exists.
+def solve_verified(rows: Sequence[dict], ncols: int, rhs: Sequence,
+                   modulus: int) -> List[SolveResult]:
+    """Solve A x = b (mod modulus) for each b in ``rhs``, stopping after
+    the first with no solution.  ``rows`` are {column: coefficient} dicts
+    in the solver's scan order.  A homogeneous b takes the zero solution;
+    otherwise one Smith form for all b decides, and its answer is
+    re-verified (AssemblyError, a bug rather than an input error)."""
+    pairs = [tuple(r.items()) for r in rows]
+    nf = None
+    results = []
+    for b in rhs:
+        if all(v % modulus == 0 for v in b):
+            result = SolveResult(solution=(0,) * ncols, certificate=None)
+        else:
+            if nf is None:
+                nf = SmithNF(list(rows), ncols=ncols)
+            result = nf.solve_mod(b, modulus)
+            if not (verify_solution(pairs, b, modulus, result.solution)
+                    if result.solvable else verify_certificate(
+                        pairs, b, modulus, result.certificate)):
+                raise AssemblyError("solver %s failed re-verification" % (
+                    "witness" if result.solvable else "certificate"))
+        results.append(result)
+        if not result.solvable:
+            break
+    return results
 
-    Returned witnesses and certificates are re-verified against the input
-    before being handed back; a failure there is a bug, not an input error.
-    """
-    A, b, m = system.A, system.b, system.modulus
-    if not A or system.ncols == 0:
-        bad = next((i for i, v in enumerate(b) if v % m), None)
-        if bad is None:
-            return SolveResult(solution=(0,) * system.ncols, certificate=None)
-        cert = tuple(1 if i == bad else 0 for i in range(len(b)))
-        return SolveResult(solution=None, certificate=cert, pivot_row=bad)
-    if all(v % m == 0 for v in b):
-        # the zero vector always solves a homogeneous system
-        return SolveResult(solution=(0,) * system.ncols, certificate=None)
-    rows = sparse(A)
-    result = SmithNF([dict(r) for r in rows],
-                     ncols=system.ncols).solve_mod(b, m)
-    if result.solvable:
-        if not verify_solution(rows, b, m, result.solution):
-            raise AssemblyError("solver witness failed re-verification")
-    elif not verify_certificate(rows, b, m, result.certificate):
-        raise AssemblyError("infeasibility certificate failed "
-                            "re-verification")
-    return result
+
+def smith_solve(system: SmithSystem) -> SolveResult:
+    """Solve A x = b (mod m') or certify that no solution exists."""
+    rows = [dict(r) for r in sparse(system.A)]
+    return solve_verified(rows, system.ncols, (system.b,),
+                          system.modulus)[0]

@@ -68,8 +68,8 @@ def zero_point(n: int) -> TorusPoint:
 def _int_det(rows) -> int:
     """Determinant of an integer matrix, fraction-free (Bareiss)."""
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
+    if n <= 1:
+        return rows[0][0] if n else 1
     a = [list(r) for r in rows]
     sign = 1
     prev = 1
@@ -151,22 +151,17 @@ class TorusAut:
             for i in range(self.n)))
 
     def inverse(self) -> "TorusAut":
-        """Exact integer inverse (exists because det = +-1)."""
+        """Exact integer inverse: det * adjugate, as det = +-1."""
         n = self.n
-        aug = [[Fraction(self.rows[i][j]) for j in range(n)]
-               + [Fraction(1 if i == j else 0) for j in range(n)]
-               for i in range(n)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        out = tuple(tuple(int(aug[i][n + j]) for j in range(n)) for i in range(n))
-        return TorusAut(out)
+
+        def minor(i, j):
+            return [row[:j] + row[j + 1:]
+                    for r, row in enumerate(self.rows) if r != i]
+
+        return TorusAut(tuple(
+            tuple(self._det * (-1) ** (i + j) * _int_det(minor(j, i))
+                  for j in range(n))
+            for i in range(n)))
 
     def __pow__(self, e: int) -> "TorusAut":
         if e < 0:
@@ -202,10 +197,6 @@ class TorusAut:
 
     def __repr__(self):
         return "TorusAut(%r)" % (list(list(r) for r in self.rows),)
-
-
-def apply_aut(M: TorusAut, u: TorusPoint) -> TorusPoint:
-    return M.apply(u)
 
 
 def polar(pairs: Iterable) -> PolarPoint:
@@ -244,6 +235,28 @@ def standard_act(u: TorusPoint, z: PolarPoint) -> PolarPoint:
         else:
             out.append((r2, mod1(theta + ui)))
     return tuple(out)
+
+
+def grid_generators(samples: Sequence[PolarPoint], n: int, m: int) -> list:
+    """The order-m subgroup's generators as index maps of a finite sample
+    tuple: column j sends i to the index of e_j/m . samples[i], or None
+    where that leaves the samples.  The one place where grid angles meet
+    polar samples; below it, indices rotate by ``compose_columns``."""
+    pos = {z: i for i, z in enumerate(samples)}
+    units = [tuple(Fraction(int(i == j), m) for i in range(n))
+             for j in range(n)]
+    return [[pos.get(standard_act(e, z)) for z in samples] for e in units]
+
+
+def compose_columns(gens: Sequence[Sequence[int]], w: Sequence[int],
+                    size: int) -> list:
+    """The index map of w = sum_j w_j e_j: generator column j applied w_j
+    times, e_0 first (the identity map of range(size) when w = 0)."""
+    col = list(range(size))
+    for g, times in zip(gens, w):
+        for _ in range(times):
+            col = [g[c] for c in col]
+    return col
 
 
 def moment_map(z: PolarPoint) -> CornerPoint:

@@ -157,12 +157,13 @@ class TestBuildModule:
         module, model, rho, corrections = seam_module(window=1)
         m = model.torus_order
         for node, cls in module.class_of.items():
-            chart, deck, z = node
+            chart, deck, zi = node
+            samples = model.samples[chart]
             aut = corrections.rho_alpha[chart] * rho.of(deck)
             for u in u_keys(2, m):
                 w = aut.apply_mod(u, m)
-                moved = standard_act(tuple(F(v, m) for v in w), z)
-                assert module.class_of[(chart, deck, moved)] \
+                moved = standard_act(tuple(F(v, m) for v in w), samples[zi])
+                assert module.class_of[(chart, deck, samples.index(moved))] \
                     == module.torus_act(u, cls)
 
     def test_deck_tables_truncate_at_window(self):

@@ -270,9 +270,9 @@ class TestScenario:
         scn = build_scenario(CylParams(s=F(1, 4), m=4, window=1))
         lifting = ob.assemble_global_lifting(
             scn.model, scn.corrections, scn.rho, scn.liftings, scn.gluing)
-        zb = scn.model.samples["c2"][0]
-        za = scn.model.matched("c1", "c2", zb)
-        out = lifting.transition(("c2", (), zb), ("c1", ((0, 1),), za),
+        za = scn.model.matched("c1", "c2", scn.model.samples["c2"][0])
+        za_index = scn.model.samples["c1"].index(za)
+        out = lifting.transition(("c2", (), 0), ("c1", ((0, 1),), za_index),
                                  (0,))
         assert out == (1,)   # s in fiber units = s * m
 
@@ -282,11 +282,13 @@ class TestScenario:
         lifting = ob.assemble_global_lifting(
             scn.model, scn.corrections, scn.rho, scn.liftings, scn.gluing)
         m = params.m
+        samples = scn.model.samples["c2"]
 
         def phi(node, t_units):
             # c2 presentations only: deck exponent -d acts on the seam rep
-            chart, deck, z = node
+            chart, deck, zi = node
             assert chart == "c2"
+            z = samples[zi]
             d = sum(e for _, e in deck)
             i = int(z[0][1] * m) % m
             j = int(z[1][1] * m) % m
@@ -299,7 +301,8 @@ class TestScenario:
             deck = rng.choice(decks)
             i, j, t_units = (rng.randrange(m) for _ in range(3))
             z = polar(((F(1, 2), F(i, m)), (F(1, 2), F(j, m))))
-            node = ("c2", deck, z)
+            zi = samples.index(z)
+            node = ("c2", deck, zi)
             u = tuple(rng.randrange(m) for _ in range(2))
             moved, t_new = lifting.act_T(u, node, (t_units,))
             want = lift_act(params,
@@ -307,6 +310,6 @@ class TestScenario:
                             phi(node, t_units))
             assert phi(moved, t_new[0]) == want
             # deck generator: presentation shifts, fiber units fixed
-            stepped = ("c2", scn.rho.group.mul(deck, ((0, -1),)), z)
+            stepped = ("c2", scn.rho.group.mul(deck, ((0, -1),)), zi)
             assert phi(stepped, t_units) \
                 == lift_act(params, (ZERO2, 1), phi(node, t_units))

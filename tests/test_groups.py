@@ -1,5 +1,6 @@
 """Tests for fundamental groups, semidirect products, and the atlas action."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -215,13 +216,57 @@ def two_chart_model(m=2):
     return model, corrections
 
 
+def circle_pair_model(pairs, m=2):
+    """Two rank-one charts over the identity transition, each sampling two
+    circles (r2 = 1, 2) at m angles; ``pairs`` lists matched (i_a, i_b)
+    sample indices."""
+    nerve = Nerve(["a", "b"], edges=[("a", "b")])
+    cocycle = GLCocycle.from_one_sided(nerve, {("a", "b"): TorusAut([[1]])})
+    pts = [polar(((r, F(i, m)),)) for r in (1, 2) for i in range(m)]
+    return AtlasModel(nerve, cocycle, m, {"a": pts, "b": pts},
+                      {("a", "b"): [(pts[i], pts[j]) for i, j in pairs]})
+
+
 class TestAtlasModel:
     def test_closure_is_enforced(self):
         nerve = Nerve(["c"])
         cocycle = GLCocycle(nerve, {}, rank=2)
         lone = [polar(((1, 0), (2, 0)))]
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="not closed under the order-4"):
             AtlasModel(nerve, cocycle, 4, {"c": lone})
+
+    def test_rotation_is_the_grid_action(self):
+        model = single_chart_model(m=4)[0]
+        samples = model.samples["c"]
+        for w in itertools.product(range(4), repeat=2):
+            perm = model.rotation("c", w)
+            frac = tuple(F(v, 4) for v in w)
+            assert [samples[i] for i in perm] == \
+                [standard_act(frac, z) for z in samples]
+
+    def test_match_indices_agree_with_matched(self):
+        model = two_chart_model(m=3)[0]
+        for to_chart, from_chart in (("a", "b"), ("b", "a")):
+            mates = model.match_indices(to_chart, from_chart)
+            for i, z in enumerate(model.samples[from_chart]):
+                assert model.samples[to_chart][mates[i]] == \
+                    model.matched(to_chart, from_chart, z)
+
+    def test_identified_samples_must_be_closed(self):
+        with pytest.raises(InputError, match="not closed under the "
+                                             "subgroup action"):
+            circle_pair_model([(0, 0)])
+        circle_pair_model([(0, 0), (1, 1)])
+
+    def test_identification_must_commute(self):
+        # same angles, but the rotation of a's first circle lands on its
+        # second circle
+        with pytest.raises(InputError, match="does not commute"):
+            circle_pair_model([(0, 0), (3, 1)])
+
+    def test_sample_identified_twice(self):
+        with pytest.raises(InputError, match="identified twice"):
+            circle_pair_model([(0, 0), (2, 0)])
 
     def test_duplicate_samples_rejected(self):
         nerve = Nerve(["c"])

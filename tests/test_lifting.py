@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toruslift.lifting as ob
+import toruslift.smith as smith
 from toruslift.cochain import (
     CochainTable,
     FiniteModule,
@@ -306,11 +307,11 @@ class TestEquivariantGluing:
 class TestAssembly:
     def test_trivial_rotates_base_fixes_fiber(self):
         lifting, model, rho, _ = assembled()
-        z = model.samples["c2"][0]
-        node = ("c2", (), z)
-        out, t = lifting.act_T((1, 0), node, (0,))
+        samples = model.samples["c2"]
+        out, t = lifting.act_T((1, 0), ("c2", (), 0), (0,))
         assert t == (0,)
-        assert out == ("c2", (), standard_act((F(1, 2), F(0)), z))
+        moved = standard_act((F(1, 2), F(0)), samples[0])
+        assert out == ("c2", (), samples.index(moved))
 
     def test_missing_chart_rejected(self):
         model, rho, corrections = seam_model()
@@ -360,7 +361,7 @@ class TestAssembly:
             ["c1", "c2"], decks, range(4),
             list(u_keys(2, 2)), list(u_keys(2, 2)))
         for chart, deck, zi, u1, u2 in cases:
-            node = (chart, deck, model.samples[chart][zi])
+            node = (chart, deck, zi)
             both = tuple((a + b) % 2 for a, b in zip(u1, u2))
             step, t = lifting.act_T(u2, node, (0,))
             step, t = lifting.act_T(u1, step, t)
@@ -379,15 +380,15 @@ class TestAssembly:
                     for chart in model.nerve.vertices}
         lifting = ob.assemble_global_lifting(model, corrections, rho,
                                              liftings, gluing)
-        z2 = model.samples["c2"][0]
-        z1 = model.matched("c1", "c2", z2)
-        t = lifting.transition(("c2", (), z2), ("c1", ((0, 1),), z1), (0,))
+        z1 = model.samples["c1"].index(
+            model.matched("c1", "c2", model.samples["c2"][0]))
+        t = lifting.transition(("c2", (), 0), ("c1", ((0, 1),), z1), (0,))
         assert t == (1,)
-        back = lifting.transition(("c1", ((0, 1),), z1), ("c2", (), z2),
+        back = lifting.transition(("c1", ((0, 1),), z1), ("c2", (), 0),
                                   (1,))
         assert back == (0,)
         with pytest.raises(OutOfModel):
-            lifting.transition(("c2", (), z2), ("c1", (), z1), (0,))
+            lifting.transition(("c2", (), 0), ("c1", (), z1), (0,))
 
 
 class TestSigma:
@@ -610,6 +611,33 @@ class TestVanishing:
         first = ob.test_vanishing(sigma, module)
         second = ob.test_vanishing(sigma, module)
         assert first == second
+
+    def test_zero_sigma_skips_the_smith_form(self, monkeypatch):
+        def no_smith_form(*args, **kwargs):
+            raise AssertionError("Smith form computed for a zero sigma")
+
+        monkeypatch.setattr(smith, "SmithNF", no_smith_form)
+        lifting, model, rho, corrections = assembled(m=4, m_prime=4)
+        module = module_for(model, rho, corrections, 1, 4)
+        report = ob.test_vanishing(ob.compute_sigma(lifting, module), module)
+        assert report.verdict == "vanishing-at-scale"
+        assert report.witness == zero_cochain(module, 1)
+
+    def test_witness_reverified(self, monkeypatch):
+        monkeypatch.setattr(smith, "verify_solution", lambda *args: False)
+        lifting, model, rho, corrections = assembled(m=4, m_prime=4)
+        module = module_for(model, rho, corrections, 1, 4)
+        twisted = lifting.with_twist(module, coord_cochain(module, coord=1))
+        with pytest.raises(AssemblyError):
+            ob.test_vanishing(ob.compute_sigma(twisted, module), module)
+
+    def test_certificate_reverified(self, monkeypatch):
+        monkeypatch.setattr(smith, "verify_certificate", lambda *args: False)
+        module = one_point_module()
+        sigma = ob.SigmaTable(tables=(CochainTable(
+            q=1, values={((0,),): [(0,)], ((1,),): [(1,)]}),))
+        with pytest.raises(AssemblyError):
+            ob.test_vanishing(sigma, module)
 
     def test_multicoordinate_certificate_names_fiber_axis(self):
         module = one_point_module(k=2)

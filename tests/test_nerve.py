@@ -244,6 +244,23 @@ class TestChartCorrections:
         assert out.edge_generator("1", "2") == (0, 1)
         assert out.edge_generator("2", "1") == (0, -1)
 
+    def test_edge_generator_agrees_with_scan(self):
+        values = {("0", "1"): I2, ("1", "2"): M, ("2", "0"): I2}
+        g = GLCocycle.from_one_sided(cycle_nerve(), values)
+        out = chart_corrections(cycle_nerve(), g, [M])
+        for a, b in itertools.permutations("012", 2):
+            key = frozenset((a, b))
+            if any(frozenset(e) == key for e in out.tree):
+                want = None
+            else:
+                i = next(i for i, e in enumerate(out.generators)
+                         if frozenset(e) == key)
+                want = (i, 1 if out.generators[i] == (a, b) else -1)
+            assert out.edge_generator(a, b) == want
+        for a, b in (("0", "0"), ("0", "x")):
+            with pytest.raises(InputError):
+                out.edge_generator(a, b)
+
     def test_mismatched_representation(self):
         values = {("0", "1"): I2, ("1", "2"): M, ("2", "0"): I2}
         g = GLCocycle.from_one_sided(cycle_nerve(), values)

@@ -16,6 +16,7 @@ from toruslift.smith import (
     SmithSystem,
     SolveResult,
     smith_solve,
+    solve_verified,
     sparse,
     verify_certificate,
     verify_solution,
@@ -243,3 +244,49 @@ class TestReverification:
                              capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["raised", "raised"]
+
+
+class TestSolveVerified:
+    """The one solve-and-reverify routine behind smith_solve and the
+    vanishing test."""
+
+    ROWS = [{0: 2}, {0: 1, 1: 1}]
+
+    def counting(self, monkeypatch):
+        built = []
+        real = smith.SmithNF
+
+        def counted(*args, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(smith, "SmithNF", counted)
+        return built
+
+    def test_zero_rhs_needs_no_smith_form(self, monkeypatch):
+        built = self.counting(monkeypatch)
+        results = solve_verified(self.ROWS, 2, [(0, 0), (4, 8)], 4)
+        assert [r.solution for r in results] == [(0, 0), (0, 0)]
+        assert built == []
+
+    def test_one_smith_form_for_all_rhs(self, monkeypatch):
+        built = self.counting(monkeypatch)
+        rhs = [(2, 1), (0, 0), (2, 3)]
+        results = solve_verified(self.ROWS, 2, rhs, 4)
+        assert built == [1]
+        for b, result in zip(rhs, results):
+            assert verify_solution(sparse(((2, 0), (1, 1))), b, 4,
+                                   result.solution)
+
+    def test_stops_at_first_infeasible(self):
+        results = solve_verified(self.ROWS, 2, [(2, 0), (1, 0), (0, 0)], 4)
+        assert len(results) == 2
+        assert results[0].solvable and not results[1].solvable
+        assert verify_certificate(sparse(((2, 0), (1, 1))), (1, 0), 4,
+                                  results[1].certificate)
+
+    def test_smith_solve_agrees(self):
+        for b in ((2, 1), (1, 0), (0, 0)):
+            system = SmithSystem(A=((2, 0), (1, 1)), b=b, modulus=4)
+            assert smith_solve(system) == \
+                solve_verified(self.ROWS, 2, [b], 4)[0]

@@ -5,8 +5,9 @@ from hypothesis import given, strategies as st
 
 from toruslift.errors import DimensionError, UnimodularError
 from toruslift.torus import (
-    TorusAut, angle, apply_aut, format_angle, mod1, moment_map, point_add,
-    point_neg, polar, standard_act, stratum, torus_point, zero_point,
+    TorusAut, angle, compose_columns, format_angle, grid_generators, mod1,
+    moment_map, point_add, point_neg, polar, standard_act, stratum,
+    torus_point, zero_point,
 )
 
 
@@ -25,6 +26,21 @@ def unimodular_2x2():
                     min_size=0, max_size=5).map(
         lambda ws: [TorusAut(w) for w in ws]).map(
         lambda ms: _prod(ms))
+
+
+@st.composite
+def unimodular(draw):
+    """A random word in negations and elementary transvections: these
+    generate GL(n, Z) for n in {1, 2, 3}."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    M = TorusAut.identity(n)
+    for _ in range(draw(st.integers(0, 6))):
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.integers(0, n - 1))
+        rows = [[int(r == c) for c in range(n)] for r in range(n)]
+        rows[i][j] = -1 if i == j else draw(st.sampled_from([-2, -1, 1, 2]))
+        M = M * TorusAut(rows)
+    return M
 
 
 def _prod(ms):
@@ -67,18 +83,24 @@ class TestTorusAut:
 
     def test_apply_example(self):
         M = TorusAut([[1, 0], [-1, 1]])
-        assert apply_aut(M, torus_point("1/4", "0/1")) == (F(1, 4), F(3, 4))
+        assert M.apply(torus_point("1/4", "0/1")) == (F(1, 4), F(3, 4))
 
     def test_composition_example(self):
         M1 = TorusAut([[0, 1], [1, 0]])
         M2 = TorusAut([[1, 0], [-1, 1]])
         u = torus_point("1/8", "1/8")
-        assert apply_aut(M1, apply_aut(M2, u)) == (F(0), F(1, 8))
+        assert M1.apply(M2.apply(u)) == (F(0), F(1, 8))
 
     @given(unimodular_2x2())
     def test_inverse_is_exact(self, M):
         assert (M * M.inverse()).is_identity()
         assert (M.inverse() * M).is_identity()
+
+    @given(unimodular())
+    def test_inverse_is_integer_adjugate(self, M):
+        identity = TorusAut.identity(M.n)
+        assert M * M.inverse() == identity
+        assert M.inverse() * M == identity
 
     @given(unimodular_2x2(), st.tuples(angles, angles))
     def test_apply_is_homomorphism(self, M, u):
@@ -157,3 +179,36 @@ class TestPolar:
     def test_point_neg(self):
         u = torus_point("1/4", "0/1")
         assert point_add(u, point_neg(u)) == zero_point(2)
+
+
+class TestSampleIndices:
+    """Grid rotations of a finite sample tuple, as index maps."""
+
+    def grid(self, m):
+        # one origin coordinate (fixed by every rotation) and one full
+        # circle of m angles
+        return tuple(polar([(0, 0), (1, F(i, m))]) for i in range(m))
+
+    def test_generators_match_standard_act(self):
+        samples = self.grid(4)
+        gens = grid_generators(samples, 2, 4)
+        assert gens[0] == [0, 1, 2, 3]           # the origin coordinate
+        for i, z in enumerate(samples):
+            assert samples[gens[1][i]] == \
+                standard_act((F(0), F(1, 4)), z)
+
+    def test_rotation_leaving_the_samples_is_none(self):
+        samples = self.grid(4)[:3]
+        assert grid_generators(samples, 2, 4)[1] == [1, 2, None]
+
+    @given(st.integers(0, 7), st.integers(0, 7))
+    def test_compose_is_the_rotation(self, a, b):
+        samples = self.grid(8)
+        gens = grid_generators(samples, 2, 8)
+        col = compose_columns(gens, (a, b), len(samples))
+        for i, z in enumerate(samples):
+            assert samples[col[i]] == standard_act((F(a, 8), F(b, 8)), z)
+
+    def test_compose_zero_is_identity(self):
+        assert compose_columns([[1, 2, 0]], (0,), 3) == [0, 1, 2]
+        assert compose_columns([[1, 2, 0]], (3,), 3) == [0, 1, 2]
