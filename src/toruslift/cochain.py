@@ -36,6 +36,31 @@ def u_keys(n: int, m: int):
     return itertools.product(range(m), repeat=n)
 
 
+class BranchTables:
+    """Per branch (chart, deck word) of the pulled-back atlas, the table
+    u -> w = rho_alpha(rho(deck)(u)) mod m over (Z/m)^n: the argument of
+    the rotation that the torus element u makes on that branch's samples.
+    A branch's table is computed on its first lookup and kept by this
+    instance."""
+
+    def __init__(self, corrections: ChartCorrections, rho: Representation,
+                 n: int, m: int):
+        self._rho_alpha = corrections.rho_alpha
+        self._rho = rho
+        self._n = n
+        self._m = m
+        self._tables: Dict[tuple, Dict[UKey, UKey]] = {}
+
+    def __getitem__(self, branch) -> Dict[UKey, UKey]:
+        table = self._tables.get(branch)
+        if table is None:
+            chart, deck = branch
+            aut = self._rho_alpha[chart] * self._rho.of(deck)
+            table = self._tables[branch] = {
+                u: aut.apply_mod(u, self._m) for u in u_keys(self._n, self._m)}
+        return table
+
+
 class FiniteModule:
     """Finite model of the coefficient module: points plus action tables.
 
@@ -284,12 +309,12 @@ def build_finite_module(model: AtlasModel, rho: Representation,
     points = tuple(nodes[rep] for rep in reps)
 
     n, m = model.rank, model.torus_order
-    mats = {(chart, deck): corrections.rho_alpha[chart] * rho.of(deck)
-            for chart, deck in {point[:2] for point in points}}
+    branches = BranchTables(corrections, rho, n, m)
+    branch_keys = {point[:2] for point in points}
     torus_table = {}
     for u in u_keys(n, m):
-        perms = {(chart, deck): model.rotation(chart, aut.apply_mod(u, m))
-                 for (chart, deck), aut in mats.items()}
+        perms = {branch: model.rotation(branch[0], branches[branch][u])
+                 for branch in branch_keys}
         torus_table[u] = [
             class_of_node[(chart, deck, perms[(chart, deck)][z])]
             for chart, deck, z in points]

@@ -220,13 +220,17 @@ class Representation:
                     % (group.generators[0], group.modulus))
         self.group = group
         self.generator_images = images
+        self._of: Dict[Word, TorusAut] = {}
 
     def of(self, word: Word) -> TorusAut:
-        """rho(word) as a single automorphism."""
+        """rho(word) as a single automorphism (memoized per normal form)."""
         word = self.group.normalize(word)
-        out = TorusAut.identity(self._n)
-        for i, e in word:
-            out = out * self.generator_images[i] ** e
+        out = self._of.get(word)
+        if out is None:
+            out = TorusAut.identity(self._n)
+            for i, e in word:
+                out = out * self.generator_images[i] ** e
+            self._of[word] = out
         return out
 
     @property

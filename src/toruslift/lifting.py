@@ -20,11 +20,13 @@ enlargement of the model, while a solution is only an at-scale witness.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .cochain import (
+    BranchTables,
     CochainTable,
     FiniteModule,
     cochain_add,
@@ -38,6 +40,7 @@ from .cochain import (
 )
 from .errors import (
     AssemblyError,
+    DimensionError,
     InputError,
     InvalidSigma,
     OutOfModel,
@@ -72,8 +75,10 @@ class ChartLifting:
     """Fiber-shift table of one chart's lifted torus action.
 
     ``table`` maps (u, z) to a vector in Z_{m'}^k, u an integer tuple mod
-    m and z a polar sample of the chart.  Validity (the action identity)
-    is a separate check so invalid tables can be constructed and reported.
+    m and z a polar sample of the chart; it is read-only once built, as
+    the construction also indexes it by sample position.  Validity (the
+    action identity) is a separate check so invalid tables can be
+    constructed and reported.
     """
 
     def __init__(self, chart: str, m: int, m_prime: int,
@@ -87,6 +92,8 @@ class ChartLifting:
         self.table: Dict[Tuple[tuple, PolarPoint], Vec] = {}
         self.n = n
         self.k = k
+        first_seen: Dict[PolarPoint, int] = {}
+        entries = []
         for (u, z), vec in table.items():
             u = tuple(int(v) for v in u)
             if self.n is None:
@@ -101,18 +108,39 @@ class ChartLifting:
             if len(vec) != self.k:
                 raise InputError("chart %s: mixed fiber ranks" % chart)
             self.table[(u, z)] = vec
+            entries.append((u, first_seen.setdefault(z, len(first_seen)),
+                            vec))
         if self.n is None or self.k is None:
             # a chart with no samples carries an empty table; its ranks
             # cannot be inferred and must be given
             raise InputError("chart %s: lifting table is empty and n/k "
                              "were not supplied" % chart)
-        self.samples = tuple(sorted({z for _, z in self.table}))
+        ordered = sorted(first_seen.items())
+        self.samples = tuple(z for z, _ in ordered)
+        #: sample -> its position in ``samples``
+        self._position = {z: pos for pos, (z, _) in enumerate(ordered)}
+        position_of = [0] * len(ordered)
+        for pos, (_, seen) in enumerate(ordered):
+            position_of[seen] = pos
+        #: u -> per position in ``samples``: the table entry or None
+        self._columns = {u: [None] * len(ordered) for u in u_keys(self.n, m)}
+        for u, seen, vec in entries:
+            self._columns[u][position_of[seen]] = vec
 
 
 def _table_columns(lifting: ChartLifting, samples, n: int, m: int) -> dict:
-    """u in (Z/m)^n -> the table entries at ``samples``, None if absent."""
-    return {u: [lifting.table.get((u, z)) for z in samples]
-            for u in u_keys(n, m)}
+    """u in (Z/m)^n -> the table entries at ``samples``, None if absent
+    (the lifting's own index when ``samples`` and (n, m) are its own)."""
+    positions = [lifting._position.get(z) for z in samples]
+    if (n, m) == (lifting.n, lifting.m) and \
+            positions == list(range(len(lifting.samples))):
+        return lifting._columns
+    absent = [None] * len(lifting.samples)
+    columns = {}
+    for u in u_keys(n, m):
+        col = lifting._columns.get(u, absent)
+        columns[u] = [None if pos is None else col[pos] for pos in positions]
+    return columns
 
 
 def check_chart_lifting(lifting: ChartLifting) -> LiftingReport:
@@ -276,7 +304,12 @@ class GlobalLifting:
         self.m_prime = some.m_prime
         self.k = some.k
         self.twist = twist          # (FiniteModule, CochainTable) or None
-        self._mats = {}
+        self._branches = BranchTables(corrections, rho, self.n, self.m)
+        # w -> -w mod m, the argument of the inverse rotation
+        self._negated = {w: tuple((-v) % self.m for v in w)
+                         for w in u_keys(self.n, self.m)}
+        # (deck, word) -> deck . word^-1
+        self._deck_moves = {}
         # chart -> u -> per sample index: fiber shift or None
         self._shift = {
             chart: _table_columns(lifting, model.samples[chart], self.n,
@@ -289,17 +322,29 @@ class GlobalLifting:
                      for z in model.samples[y]]
             for a, b in model.nerve.edges for x, y in ((a, b), (b, a))}
 
-    def _branch_aut(self, chart, deck):
-        key = (chart, deck)
-        if key not in self._mats:
-            self._mats[key] = (self.corrections.rho_alpha[chart]
-                               * self.rho.of(deck))
-        return self._mats[key]
+    def _branch_w(self, u, chart: str, deck) -> Tuple[Vec, Vec]:
+        """u reduced mod m, and w = rho_alpha(rho(deck)(u)) mod m read from
+        the branch table.  Only a u that is not already a reduced key
+        takes the slow path; a u of the wrong rank raises DimensionError."""
+        table = self._branches[chart, deck]
+        try:
+            return u, table[u]
+        except (KeyError, TypeError):
+            pass
+        if len(u) != self.n:
+            raise DimensionError("torus element of rank %d acting on a "
+                                 "rank-%d lifting" % (len(u), self.n))
+        try:
+            u = tuple(operator.index(v) % self.m for v in u)
+        except TypeError:
+            raise InputError("torus element %r is not an integer vector"
+                             % (u,))
+        return u, table[u]
 
-    def source_shift(self, u: tuple, node) -> Vec:
-        """Fiber shift of the lifted action of u at the given presentation."""
-        chart, deck, z = node
-        w = self._branch_aut(chart, deck).apply_mod(u, self.m)
+    def _shift_at(self, u: Vec, w: Vec, node) -> Vec:
+        """Fiber shift of the lifted action of the reduced u, whose branch
+        argument at ``node`` is w."""
+        chart, _, z = node
         shift = self._shift[chart][w][z]
         if shift is None:
             raise OutOfModel("chart %s has no lifting entry at (%r, %r)"
@@ -316,23 +361,32 @@ class GlobalLifting:
             shift = _vadd(shift, extra, self.m_prime)
         return shift
 
+    def source_shift(self, u: tuple, node) -> Vec:
+        """Fiber shift of the lifted action of u at the given presentation."""
+        u, w = self._branch_w(u, node[0], node[1])
+        return self._shift_at(u, w, node)
+
     def act_T(self, u: tuple, node, t: Vec):
         chart, deck, z = node
-        w = self._branch_aut(chart, deck).apply_mod(u, self.m)
+        u, w = self._branch_w(u, chart, deck)
         moved = (chart, deck, self.model.rotation(chart, w)[z])
-        return moved, _vadd(t, self.source_shift(u, node), self.m_prime)
+        return moved, _vadd(t, self._shift_at(u, w, node), self.m_prime)
 
     def act_T_inv(self, u: tuple, node, t: Vec):
         chart, deck, z = node
-        w = self._branch_aut(chart, deck).apply_mod(u, self.m)
-        back = tuple((-v) % self.m for v in w)
-        source = (chart, deck, self.model.rotation(chart, back)[z])
-        return source, _vsub(t, self.source_shift(u, source), self.m_prime)
+        u, w = self._branch_w(u, chart, deck)
+        source = (chart, deck,
+                  self.model.rotation(chart, self._negated[w])[z])
+        return source, _vsub(t, self._shift_at(u, w, source), self.m_prime)
 
     def act_pi1(self, word, node, t: Vec):
         chart, deck, z = node
-        group = self.rho.group
-        return (chart, group.mul(deck, group.inv(word)), z), t
+        moved = self._deck_moves.get((deck, word))
+        if moved is None:
+            group = self.rho.group
+            moved = self._deck_moves[(deck, word)] = \
+                group.mul(deck, group.inv(word))
+        return (chart, moved, z), t
 
     def transition(self, node_from, node_to, t: Vec) -> Vec:
         """Fiber coordinate of the same bundle point in another

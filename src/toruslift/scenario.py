@@ -187,6 +187,14 @@ def parse_scenario(text: str, max_denominator: Optional[int] = None
             raise ScenarioError("missing required section [%s]" % required)
     header = _parse_header(sections["scenario"])
     n, k, m = header["n"], header["k"], header["m"]
+    # polar text -> point, so each distinct text is parsed once per call
+    points: Dict[str, tuple] = {}
+
+    def point_of(text: str, line: int) -> tuple:
+        z = points.get(text)
+        if z is None:
+            z = points[text] = _polar(text, n, line, max_denominator)
+        return z
 
     charts: List[str] = []
     edges: List[Tuple[str, str]] = []
@@ -282,6 +290,7 @@ def parse_scenario(text: str, max_denominator: Optional[int] = None
             raise ScenarioError("[representation] has no family line")
 
     samples: Dict[str, List] = {chart: [] for chart in charts}
+    declared = {chart: set() for chart in charts}
     for lineno, raw in sections["samples"]:
         key, value = _split_kv(raw, lineno)
         if key != "point":
@@ -290,10 +299,11 @@ def parse_scenario(text: str, max_denominator: Optional[int] = None
         chart = chart.strip()
         if chart not in samples:
             raise ScenarioError("unknown chart %r" % chart, lineno)
-        point = _polar(slots, n, lineno, max_denominator)
-        if point in samples[chart]:
+        point = point_of(slots, lineno)
+        if point in declared[chart]:
             raise ScenarioError("duplicate sample for chart %s" % chart,
                                 lineno)
+        declared[chart].add(point)
         samples[chart].append(point)
 
     matches: Dict[Tuple[str, str], List] = {}
@@ -308,8 +318,8 @@ def parse_scenario(text: str, max_denominator: Optional[int] = None
         sides = rest.split("|")
         if len(sides) != 2:
             raise ScenarioError("match needs 'za | zb'", lineno)
-        za = _polar(sides[0], n, lineno, max_denominator)
-        zb = _polar(sides[1], n, lineno, max_denominator)
+        za = point_of(sides[0], lineno)
+        zb = point_of(sides[1], lineno)
         matches.setdefault(tuple(pair), []).append((za, zb))
     try:
         model = AtlasModel(nerve, cocycle, m, samples, matches)
@@ -354,13 +364,14 @@ def parse_scenario(text: str, max_denominator: Optional[int] = None
                         "chart %r not declared before its values" % chart,
                         lineno)
                 u = _ints(parts[1], n, lineno, "torus argument")
-                point = _polar(parts[2], n, lineno, max_denominator)
+                point = point_of(parts[2], lineno)
                 vec = _ints(parts[3], k, lineno, "fiber shift")
-                entry = (tuple(v % m for v in u), point)
-                if entry in tables[chart]:
+                table = tables[chart]
+                size = len(table)   # a duplicate key leaves it unchanged
+                table.setdefault((tuple(v % m for v in u), point),
+                                 tuple(v % header["m_prime"] for v in vec))
+                if len(table) == size:
                     raise ScenarioError("duplicate lifting entry", lineno)
-                tables[chart][entry] = tuple(v % header["m_prime"]
-                                             for v in vec)
             else:
                 raise ScenarioError("unknown key %r in [lifting]" % key,
                                     lineno)
@@ -396,12 +407,14 @@ def parse_scenario(text: str, max_denominator: Optional[int] = None
                     raise ScenarioError(
                         "gluing edge %r not declared before its values"
                         % (pair,), lineno)
-                point = _polar(parts[1], n, lineno, max_denominator)
+                point = point_of(parts[1], lineno)
                 vec = _ints(parts[2], k, lineno, "fiber shift")
-                if point in gtables[pair]:
+                table = gtables[pair]
+                size = len(table)
+                table.setdefault(point, tuple(v % header["m_prime"]
+                                              for v in vec))
+                if len(table) == size:
                     raise ScenarioError("duplicate gluing entry", lineno)
-                gtables[pair][point] = tuple(v % header["m_prime"]
-                                             for v in vec)
             else:
                 raise ScenarioError("unknown key %r in [gluing]" % key,
                                     lineno)

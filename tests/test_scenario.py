@@ -232,6 +232,54 @@ class TestStrictness:
                      "expected key = value", line=11)
 
 
+class TestPolarMemo:
+    """Each distinct polar text is parsed once per call; the checks and
+    their line numbers are those of parsing every line."""
+
+    def test_same_bad_text_names_first_line(self):
+        expect_error(MINIMAL + "point = c0 : 1/2,1/0\n"
+                     "point = c0 : 1/2,1/0\n", "bad angle '1/0'", line=18)
+
+    def test_bad_text_seen_in_samples_then_lifting(self):
+        text = MINIMAL + ("point = c0 : 1/2,x\n\n[lifting]\nchart = c0\n"
+                          "value = c0 : 0 : 1/2,x : 0\n")
+        expect_error(text, "bad angle 'x'", line=18)
+
+    def test_memo_does_not_outlive_the_call(self):
+        text = emit_scenario(cylinder_scenario(m=4))
+        assert parse_scenario(text).m == 4
+        expect_error(text, "denominator exceeds --max-denominator 2",
+                     max_denominator=2)
+        assert parse_scenario(text, max_denominator=4).m == 4
+
+    def test_duplicate_sample_in_other_spelling(self):
+        expect_error(MINIMAL + "point = c0 : 2/4,0/1\n",
+                     "duplicate sample for chart c0", line=18)
+
+    def test_duplicate_sample_in_emitted_cylinder(self):
+        text = emit_scenario(cylinder_scenario(m=4))
+        lines = text.splitlines()
+        first = next(i for i, line in enumerate(lines)
+                     if line.startswith("point = c2 :"))
+        lines.insert(first + 3, lines[first])
+        expect_error("\n".join(lines) + "\n",
+                     "duplicate sample for chart c2", line=first + 4)
+
+    def test_duplicate_lifting_entry(self):
+        text = MINIMAL + ("\n[lifting]\nchart = c0\n"
+                          "value = c0 : 0 : 1/2,0/1 : 0\n"
+                          "value = c0 : 2 : 2/4,0/1 : 1\n")
+        expect_error(text, "duplicate lifting entry", line=22)
+
+    def test_duplicate_gluing_entry(self):
+        text = MINIMAL.replace("charts = c0", "charts = c0 c1\nedge = c0 c1")
+        text = text.replace("[cocycle]", "[cocycle]\nmap = c0 c1 : 1")
+        text += ("\n[gluing]\nedge = c0 c1\n"
+                 "value = c0 c1 : 1/2,0/1 : 0\n"
+                 "value = c0 c1 : 1/2,0/1 : 1\n")
+        expect_error(text, "duplicate gluing entry", line=24)
+
+
 class TestRepresentationSection:
     def test_cyclic_family(self):
         text = MINIMAL + "\n[representation]\nfamily = cyclic 2\nimage = -1\n"
