@@ -476,33 +476,68 @@ def generator_terms(gens: Sequence[Sequence[int]], u: UKey) -> list:
     return terms
 
 
-def _nonzero(terms, mp: int):
-    """sum coeff * vec != 0 mod mp; False when a term is undefined."""
-    if any(vec is None for _, vec in terms):
-        return False
-    return any(sum(coeff * vec[idx] for coeff, vec in terms) % mp
-               for idx in range(len(terms[0][1])))
+def expansion_columns(gens: Sequence[Sequence[int]], m: int, m_prime: int,
+                      values: Sequence[Sequence], size: int,
+                      k: int) -> Dict[UKey, list]:
+    """u -> column over (Z/m)^n in ``u_keys`` order, where column[x] is
+    the generator expansion of tau(u, x) by ``generator_terms``' letters,
+    summed from the values values[j][y] = tau(e_j, y) and reduced mod
+    m_prime; None where a value it reads is None.  With j0 the first
+    nonzero coordinate of u, the first letter is e_j0, so
+
+        tau(u, x) = tau(e_j0, (u - e_j0).x) + tau(u - e_j0, x)
+        u.x = e_j0.((u - e_j0).x)
+
+    and each entry extends the already built column of u - e_j0 by one
+    value."""
+    keys = u_keys(len(gens), m)
+    origin = next(keys)
+    moved = {origin: range(size)}
+    totals = {origin: [(0,) * k] * size}
+    for u in keys:
+        j0 = next(j for j, v in enumerate(u) if v)
+        prev = u[:j0] + (u[j0] - 1,) + u[j0 + 1:]
+        before, gen = moved[prev], values[j0]
+        moved[u] = [gens[j0][y] for y in before]
+        totals[u] = [
+            None if total is None or gen[y] is None
+            else tuple((a + b) % m_prime for a, b in zip(total, gen[y]))
+            for total, y in zip(totals[prev], before)]
+    return totals
+
+
+def _nonzero(coeffs, values, mp: int) -> bool:
+    """sum a * values[j][x] over coeffs != 0 mod mp; False when a value
+    read is undefined (None)."""
+    total = None
+    for (j, x), a in coeffs.items():
+        vec = values[j][x]
+        if vec is None:
+            return False
+        total = [a * v for v in vec] if total is None \
+            else [t + a * v for t, v in zip(total, vec)]
+    return any(t % mp for t in total)
 
 
 def cocycle_violations(gens: Sequence[Sequence[int]], m: int, m_prime: int,
-                       columns: Dict[UKey, Sequence]) -> list:
-    """Where the table u -> columns[u] breaks the cocycle identity: its
-    generator values must satisfy every relation row and each tau(u, x)
-    equal its generator expansion (tau(0, x) = 0), checked only where
-    every entry read is defined (not None)."""
+                       columns: Dict[UKey, Sequence], k: int) -> list:
+    """Where the table u -> columns[u] of rank-k vectors breaks the cocycle
+    identity: its generator values must satisfy every relation row and
+    each tau(u, x) equal its generator expansion (tau(0, x) = 0), checked
+    only where every entry read is defined (not None)."""
     n = len(gens)
     values = [columns[tuple(1 % m if i == j else 0 for i in range(n))]
               for j in range(n)]
     bad = [label for label, coeffs in relation_rows(gens, m)
-           if _nonzero([(a, values[j][x]) for (j, x), a in coeffs.items()],
-                       m_prime)]
-    for u in u_keys(n, m):
-        terms = generator_terms(gens, u)
-        for x, vec in enumerate(columns[u]):
-            if vec is not None and _nonzero(
-                    [(1, vec)] + [(-1, values[j][col[x]])
-                                  for j, col in terms], m_prime):
-                bad.append(("cocycle", u, x) if any(u) else ("zero", x))
+           if _nonzero(coeffs, values, m_prime)]
+    origin = (0,) * n
+    expected = expansion_columns(gens, m, m_prime, values,
+                                 len(columns[origin]), k)
+    for u, want in expected.items():
+        for x, (vec, exp) in enumerate(zip(columns[u], want)):
+            if vec is not None and exp is not None and vec != exp and any(
+                    (a - b) % m_prime for a, b in zip(vec, exp)):
+                bad.append(("cocycle", u, x) if u != origin else ("zero", x))
     return bad
 
 
@@ -520,26 +555,17 @@ def is_cocycle(sigma: CochainTable, module: FiniteModule) -> CocycleCheck:
                          % sigma.q)
     columns = {u: _column(sigma, (u,)) for u in u_keys(module.n, module.m)}
     bad = cocycle_violations(generator_columns(module), module.m,
-                             module.m_prime, columns)
+                             module.m_prime, columns, module.k)
     return CocycleCheck(ok=not bad, violations=tuple(bad))
 
 
 def expand_witness(module: FiniteModule, gen_values) -> CochainTable:
     """Total degree-1 table generated by values on (e_j, x) pairs."""
-    mp = module.m_prime
-    gens = generator_columns(module)
-    values = {}
-    for u in u_keys(module.n, module.m):
-        terms = generator_terms(gens, u)
-        col = []
-        for c in range(module.size):
-            total = [0] * module.k
-            for j, points in terms:
-                for idx, v in enumerate(gen_values[(j, points[c])]):
-                    total[idx] += v
-            col.append(tuple(v % mp for v in total))
-        values[(u,)] = col
-    return CochainTable(q=1, values=values)
+    values = [[gen_values[(j, c)] for c in range(module.size)]
+              for j in range(module.n)]
+    totals = expansion_columns(generator_columns(module), module.m,
+                               module.m_prime, values, module.size, module.k)
+    return CochainTable(q=1, values={(u,): col for u, col in totals.items()})
 
 
 def pi1_act(sigma: CochainTable, word: Word,

@@ -161,7 +161,8 @@ def check_chart_lifting(lifting: ChartLifting) -> LiftingReport:
     if all(x is not None for col in gens for x in col):
         violations.extend(
             v[:-1] + (samples[v[-1]],)
-            for v in cocycle_violations(gens, m, lifting.m_prime, columns))
+            for v in cocycle_violations(gens, m, lifting.m_prime, columns,
+                                        lifting.k))
     return LiftingReport(violations=tuple(violations))
 
 
@@ -715,8 +716,6 @@ def test_vanishing(sigma: SigmaTable, module: FiniteModule,
         witness = expand_witness(module, {
             (j, c): tuple(result.solution[var(j, c)] for result in results)
             for j in range(n) for c in range(size)})
-        if not is_cocycle(witness, module).ok:
-            raise AssemblyError("expanded witness is not a torus cocycle")
         cob = deck_coboundary(witness, module)
         for i in range(module.pi1_rank):
             for u in u_keys(n, m):

@@ -15,6 +15,14 @@ Everything runs on exact Python integers.  Row operations are kept in a log
 so rows of U can be replayed on demand; V is tracked explicitly because
 solutions need it.  Pivoting is deterministic (Markowitz-style preference
 for +-1 pivots), so repeated runs produce byte-identical results.
+
+The pivot search keeps one candidate key per row while the matrix is
+reduced and takes the least.  A row's candidate depends only on its
+entries, their dict order, its index and the entry counts of its columns,
+so an elementary operation marks dirty just the rows it changed and the
+rows holding a column whose count it changed; the next search rescans
+only those (Markowitz 1957; Davis, Direct Methods for Sparse Linear
+Systems, 2006, ch. 7).
 """
 
 from __future__ import annotations
@@ -72,13 +80,20 @@ def sparse(A) -> tuple:
 
 
 def verify_solution(rows, b, modulus, x) -> bool:
-    """x solves every sparse row: sum coeff * x[col] = b (mod modulus)."""
+    """x solves every sparse row: sum coeff * x[col] = b (mod modulus).
+    False when b has not one entry per row or x misses a column."""
+    if len(b) != len(rows) or any(not 0 <= col < len(x)
+                                  for row in rows for col, _ in row):
+        return False
     return all(sum(coeff * x[col] for col, coeff in row) % modulus
                == bi % modulus for row, bi in zip(rows, b))
 
 
 def verify_certificate(rows, b, modulus, y) -> bool:
-    """y . A = 0 and y . b != 0 (mod modulus), A given as sparse rows."""
+    """y . A = 0 and y . b != 0 (mod modulus), A given as sparse rows.
+    False when y or b has not one entry per row."""
+    if not len(y) == len(b) == len(rows):
+        return False
     acc = {}
     for coeff, row in zip(y, rows):
         for col, val in row:
@@ -86,6 +101,10 @@ def verify_certificate(rows, b, modulus, y) -> bool:
     if any(v % modulus for v in acc.values()):
         return False
     return sum(yr * br for yr, br in zip(y, b)) % modulus != 0
+
+
+#: the pivot key of a row with no entries: above every real key
+_EMPTY_ROW = (2,)
 
 
 class SmithNF:
@@ -125,14 +144,20 @@ class SmithNF:
 
     def _row_add(self, i, j, c):
         ri, rj = self.rows[i], self.rows[j]
+        dirty = self._dirty
         for col, v in rj.items():
             new = ri.get(col, 0) + c * v
+            rows_at = self._colindex[col]
             if new:
+                if col not in ri:
+                    rows_at.add(i)
+                    dirty.update(rows_at)
                 ri[col] = new
-                self._colindex[col].add(i)
-            else:
-                ri.pop(col, None)
-                self._colindex[col].discard(i)
+            elif col in ri:
+                del ri[col]
+                rows_at.discard(i)
+                dirty.update(rows_at)
+        dirty.add(i)
         self._log.append(("add", i, j, c))
 
     def _row_swap(self, i, j):
@@ -144,6 +169,7 @@ class SmithNF:
             has_i, has_j = col in self.rows[i], col in self.rows[j]
             (idx.add if has_i else idx.discard)(i)
             (idx.add if has_j else idx.discard)(j)
+        self._dirty.update((i, j))
         self._log.append(("swap", i, j))
 
     def _row_neg(self, i):
@@ -153,14 +179,19 @@ class SmithNF:
 
     def _col_add(self, j, i, c):
         # col_j += c * col_i  (mirrored on V)
-        for r in list(self._colindex[i]):
+        rows_j = self._colindex[j]
+        count_j = len(rows_j)
+        for r in self._colindex[i]:
             new = self.rows[r].get(j, 0) + c * self.rows[r][i]
             if new:
                 self.rows[r][j] = new
-                self._colindex[j].add(r)
+                rows_j.add(r)
             else:
                 self.rows[r].pop(j, None)
-                self._colindex[j].discard(r)
+                rows_j.discard(r)
+        self._dirty.update(self._colindex[i])
+        if len(rows_j) != count_j:
+            self._dirty.update(rows_j)
         vj, vi = self._vcols[j], self._vcols[i]
         for r, v in vi.items():
             new = vj.get(r, 0) + c * v
@@ -172,7 +203,8 @@ class SmithNF:
     def _col_swap(self, i, j):
         if i == j:
             return
-        for r in self._colindex[i] | self._colindex[j]:
+        touched = self._colindex[i] | self._colindex[j]
+        for r in touched:
             row = self.rows[r]
             vi, vj = row.pop(i, None), row.pop(j, None)
             if vi is not None:
@@ -181,39 +213,47 @@ class SmithNF:
                 row[i] = vj
         self._colindex[i], self._colindex[j] = \
             self._colindex[j], self._colindex[i]
+        self._dirty |= touched
         self._vcols[i], self._vcols[j] = self._vcols[j], self._vcols[i]
 
     # -- diagonalization ---------------------------------------------------
 
-    def _find_pivot(self, p):
-        """Deterministic pivot choice in the submatrix at (p, p).
-
-        Prefers +-1 entries with minimal Markowitz fill score; falls back to
-        the smallest absolute value.  Returns (row, col) or None.
-        """
-        best = None
-        best_key = None
-        for r in range(p, self.nrows):
-            row = self.rows[r]
-            if not row:
-                continue
-            nnz_r = len(row)
-            for col, v in row.items():
-                if col < p:
-                    continue
-                if -1 <= v <= 1:
-                    score = (nnz_r - 1) * (len(self._colindex[col]) - 1)
-                    # a unit pivot with little fill is good enough; take
-                    # the first one in scan order rather than the global
-                    # minimum (same determinism, far fewer scans)
-                    if score <= 4:
-                        return (r, col)
-                    key = (0, score, r, col)
-                else:
-                    key = (1, abs(v), r, col)
-                if best_key is None or key < best_key:
-                    best_key, best = key, (r, col)
+    def _row_candidate(self, r):
+        """Row r's pivot key, ``_EMPTY_ROW`` for an empty row.  Scanning
+        the row in dict order, the first +-1 entry with Markowitz fill
+        score <= 4 gives (-1, 0, r, col): a unit pivot with little fill is
+        good enough.  Otherwise the least of (0, score, r, col) over +-1
+        entries and (1, |v|, r, col) over the others.  Signs do not
+        matter, so ``_row_neg`` leaves the key as it is."""
+        row, colindex = self.rows[r], self._colindex
+        fill = len(row) - 1
+        best = _EMPTY_ROW
+        for col, v in row.items():
+            if -1 <= v <= 1:
+                score = fill * (len(colindex[col]) - 1)
+                if score <= 4:
+                    return (-1, 0, r, col)
+                key = (0, score, r, col)
+            else:
+                key = (1, abs(v), r, col)
+            if key < best:
+                best = key
         return best
+
+    def _find_pivot(self, p):
+        """Deterministic pivot choice in the submatrix at (p, p): the
+        first row >= p, in row order, whose candidate is a good unit, else
+        the least candidate key.  Returns (row, col) or None.
+
+        Rows >= p hold no column < p, so the candidates of those rows are
+        the whole search, and only the dirty ones are rescanned."""
+        cand = self._cand
+        for r in self._dirty:
+            if r >= p:
+                cand[r] = self._row_candidate(r)
+        self._dirty.clear()
+        key = min(cand[p:])
+        return None if key is _EMPTY_ROW else (key[2], key[3])
 
     def _clear_column(self, p):
         """Row-reduce column p to a single entry at (p, p), Euclid-style."""
@@ -263,6 +303,9 @@ class SmithNF:
                 return dirty
 
     def _reduce(self):
+        # the pivot search's candidate cache lives only while reducing
+        self._dirty = set(range(self.nrows))
+        self._cand = [_EMPTY_ROW] * self.nrows
         p = 0
         limit = min(self.nrows, self.ncols)
         while p < limit:
@@ -296,6 +339,7 @@ class SmithNF:
             p += 1
         self.rank = p
         self.diagonal = [self.rows[i].get(i, 0) for i in range(limit)]
+        del self._dirty, self._cand
 
     # -- transforms --------------------------------------------------------
 

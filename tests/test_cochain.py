@@ -9,20 +9,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import quotient_orbit_module
 from toruslift.cochain import (
     CochainTable,
     FiniteModule,
     build_finite_module,
     coboundary,
     cochain_add,
+    cocycle_violations,
+    expand_witness,
+    generator_columns,
+    generator_terms,
     is_cocycle,
     pi1_act,
+    relation_rows,
     u_keys,
     zero_cochain,
 )
 from toruslift.errors import InputError, OutOfModel
 from toruslift.groups import AtlasModel, FPGroup, Representation
 from toruslift.nerve import GLCocycle, Nerve, chart_corrections
+from toruslift.smith import SmithNF, verify_solution
 from toruslift.torus import TorusAut, polar, standard_act
 
 F = Fraction
@@ -304,6 +311,107 @@ class TestCoboundary:
         del sigma.values[((1,),)]
         with pytest.raises(OutOfModel):
             coboundary(sigma, mod)
+
+
+def straight_violations(gens, m, m_prime, columns):
+    """``cocycle_violations`` as first written: each u's generator
+    expansion summed from scratch with ``generator_terms``.  The oracle for
+    the one-letter-at-a-time walk of ``expansion_columns``."""
+    n = len(gens)
+    values = [columns[tuple(1 % m if i == j else 0 for i in range(n))]
+              for j in range(n)]
+
+    def nonzero(terms):
+        if any(vec is None for _, vec in terms):
+            return False
+        return any(sum(coeff * vec[idx] for coeff, vec in terms) % m_prime
+                   for idx in range(len(terms[0][1])))
+
+    bad = [label for label, coeffs in relation_rows(gens, m)
+           if nonzero([(a, values[j][x]) for (j, x), a in coeffs.items()])]
+    for u in u_keys(n, m):
+        terms = generator_terms(gens, u)
+        for x, vec in enumerate(columns[u]):
+            if vec is not None and nonzero(
+                    [(1, vec)] + [(-1, values[j][col[x]])
+                                  for j, col in terms]):
+                bad.append(("cocycle", u, x) if any(u) else ("zero", x))
+    return bad
+
+
+@st.composite
+def orbit_modules(draw):
+    """Translation modules on one or two orbits (Z/m)^n / <h>, so that
+    points may have stabilizers."""
+    n = draw(st.sampled_from([1, 2]))
+    m = draw(st.sampled_from([2, 3, 4] if n == 2 else [2, 3, 4, 6]))
+    h = st.tuples(*[st.integers(0, m - 1)] * n)
+    return quotient_orbit_module(
+        n, m, draw(st.lists(h, min_size=1, max_size=2)),
+        k=draw(st.sampled_from([1, 2])),
+        m_prime=draw(st.sampled_from([m, 2 * m])))
+
+
+def relation_solution(module, rng):
+    """Random generator values tau(e_j, x) that satisfy every relation
+    row: a random point of the rows' kernel mod m', V y with d_i y_i = 0
+    in the Smith coordinates."""
+    size, mp = module.size, module.m_prime
+    rows = [{j * size + x: a for (j, x), a in coeffs.items()}
+            for _, coeffs in relation_rows(generator_columns(module),
+                                           module.m)]
+    nf = SmithNF(rows, ncols=module.n * size)
+    diagonal = nf.diagonal + [0] * nf.ncols
+    coords = []
+    for _ in range(module.k):
+        y = [mp // math.gcd(diagonal[i], mp) * rng.randrange(mp)
+             for i in range(nf.ncols)]
+        x = [v % mp for v in nf.apply_v(y)]
+        assert verify_solution([tuple(r.items()) for r in rows],
+                               [0] * len(rows), mp, x)
+        coords.append(x)
+    return {(j, c): tuple(x[j * size + c] for x in coords)
+            for j in range(module.n) for c in range(size)}
+
+
+class TestExpansionWalk:
+    """``expand_witness`` and ``cocycle_violations`` walk one recurrence;
+    the vanishing test relies on it instead of re-checking its witness."""
+
+    @given(orbit_modules(), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_relation_solutions_expand_to_cocycles(self, module, seed):
+        values = relation_solution(module, random.Random(seed))
+        table = expand_witness(module, values)
+        assert is_cocycle(table, module).ok
+        for j in range(module.n):
+            assert table.values[(module.generator_u(j),)] == \
+                [values[(j, c)] for c in range(module.size)]
+
+    @given(orbit_modules(), st.integers(0, 10**6),
+           st.sampled_from(["cocycle", "bumped", "holes", "random"]))
+    @settings(max_examples=120, deadline=None)
+    def test_violations_match_straight_sums(self, module, seed, kind):
+        rng = random.Random(seed)
+        if kind == "random":
+            table = fill_cochain(module, 1, seed)
+        else:
+            table = expand_witness(module, relation_solution(module, rng))
+        columns = {u: list(col) for (u,), col in table.values.items()}
+        keys = sorted(columns)
+        for _ in range(rng.randrange(4) if kind in ("bumped", "holes")
+                       else 0):
+            col = columns[rng.choice(keys)]
+            x = rng.randrange(module.size)
+            if kind == "holes" and rng.random() < 0.5:
+                col[x] = None
+            elif col[x] is not None:
+                col[x] = tuple(v + rng.randrange(1, module.m_prime)
+                               for v in col[x])
+        gens = generator_columns(module)
+        assert cocycle_violations(gens, module.m, module.m_prime, columns,
+                                  module.k) == \
+            straight_violations(gens, module.m, module.m_prime, columns)
 
 
 class TestPi1Action:

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import toruslift.cochain as cochain
 import toruslift.lifting as ob
 import toruslift.smith as smith
+from _helpers import planted_shear_s, shear_orbit_module, shear_sigma
 from toruslift.cochain import (
     CochainTable,
     FiniteModule,
@@ -526,7 +528,62 @@ class TestExpand:
         assert tab == zero_cochain(module, 1)
 
 
+class TestExpansionWork:
+    """Tooling guard on the work of the cocycle checks, in counts, not
+    time.  ``is_cocycle`` walks the expansion recurrence and calls
+    ``generator_terms`` not at all; summing each u from scratch called it
+    once per u (100 times at m = 10).  The vanishing test calls it once
+    per deck generator and torus generator, for the deck rows; it made
+    202 calls when it also summed sigma and the witness from scratch."""
+
+    def test_generator_terms_calls(self, monkeypatch):
+        calls = []
+
+        def counted(gens, u):
+            calls.append(u)
+            return generator_terms(gens, u)
+
+        monkeypatch.setattr(cochain, "generator_terms", counted)
+        monkeypatch.setattr(ob, "generator_terms", counted)
+        module = shear_orbit_module(10)
+        sigma = shear_sigma(module, planted_shear_s(module, random.Random(1)))
+        assert is_cocycle(sigma.tables[0], module).ok
+        assert calls == []
+        report = ob.test_vanishing(sigma, module)
+        assert report.verdict == "vanishing-at-scale"
+        assert calls == [(1, 9), (0, 1)]      # rho(a)(e_j) = A e_j
+
+
 class TestVanishing:
+    @pytest.mark.parametrize("corruption",
+                             ["bump", "added-cocycle", "frozen-point"])
+    def test_corrupted_expansion_caught(self, monkeypatch, corruption):
+        # the witness table is not re-checked as a cocycle; a wrong
+        # expansion still fails the cob(witness) = sigma comparison, even
+        # one that is a cocycle ("added-cocycle")
+        module = shear_orbit_module(4)
+        sigma = shear_sigma(module, planted_shear_s(module, random.Random(3)))
+        assert ob.test_vanishing(sigma, module).verdict == \
+            "vanishing-at-scale"
+        real = ob.expand_witness
+
+        def corrupted(module, gen_values):
+            table = real(module, gen_values)
+            for (u,), col in table.values.items():
+                for x in range(module.size):
+                    if corruption == "bump" and (u, x) == ((1, 0), 0):
+                        col[x] = ((col[x][0] + 1) % 4,)
+                    elif corruption == "added-cocycle":
+                        col[x] = ((col[x][0] + u[1]) % 4,)
+                    elif corruption == "frozen-point":
+                        col[x] = (sum(uj * gen_values[(j, x)][0]
+                                      for j, uj in enumerate(u)) % 4,)
+            return table
+
+        monkeypatch.setattr(ob, "expand_witness", corrupted)
+        with pytest.raises(AssemblyError, match="coboundary disagrees"):
+            ob.test_vanishing(sigma, module)
+
     def test_zero_sigma_vanishes_with_zero_witness(self):
         lifting, model, rho, corrections = assembled()
         module = module_for(model, rho, corrections, 1, 2)

@@ -8,9 +8,13 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import smith_normal_form
 
 import toruslift.smith as smith
+from _helpers import shear_orbit_module, shear_sigma
 from toruslift.errors import AssemblyError
+from toruslift.lifting import test_vanishing as vanishing_test
 from toruslift.smith import (
     SmithNF,
     SmithSystem,
@@ -52,6 +56,77 @@ def det(rows):
                               - rows[i][k] * rows[k][j]) // prev
         prev = rows[k][k]
     return sign * rows[-1][-1]
+
+
+class RescanSmithNF(SmithNF):
+    """The pivot search as first written: every remaining row rescanned at
+    every pivot.  The oracle for the candidate cache of ``SmithNF``."""
+
+    def _find_pivot(self, p):
+        best = None
+        best_key = None
+        for r in range(p, self.nrows):
+            row = self.rows[r]
+            if not row:
+                continue
+            nnz_r = len(row)
+            for col, v in row.items():
+                if col < p:
+                    continue
+                if -1 <= v <= 1:
+                    score = (nnz_r - 1) * (len(self._colindex[col]) - 1)
+                    if score <= 4:
+                        return (r, col)
+                    key = (0, score, r, col)
+                else:
+                    key = (1, abs(v), r, col)
+                if best_key is None or key < best_key:
+                    best_key, best = key, (r, col)
+        return best
+
+
+def reduction(nf):
+    return nf._log, nf.diagonal, nf._vcols, nf.rank
+
+
+def shear_rows(m):
+    """The constraint rows of the vanishing test on the shear-orbit module
+    at order m, as {column: coefficient} dicts, and their width."""
+    module = shear_orbit_module(m)
+    report = vanishing_test(shear_sigma(module, [0] * module.size), module)
+    return [dict(r) for r in report.rows], report.unknowns
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Sparse {column: coefficient} rows with repeated rows, entries that
+    are not units and empty rows, and a width."""
+    ncols = draw(st.integers(min_value=1, max_value=8))
+    entry = st.sampled_from((1, -1, 1, -1, 2, -2, 3, 4, -6, 12))
+    row = st.dictionaries(st.integers(min_value=0, max_value=ncols - 1),
+                          entry, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=10))
+    copies = draw(st.lists(st.integers(min_value=0, max_value=len(rows) - 1),
+                           max_size=3))
+    for i in copies:
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))),
+                    dict(rows[i]))
+    return rows, ncols
+
+
+def invariant_factors(A):
+    """Nonzero Smith invariants of an integer matrix, by sympy."""
+    D = smith_normal_form(Matrix(A), domain=ZZ)
+    return [abs(D[i, i]) for i in range(min(D.shape)) if D[i, i]]
+
+
+def sympy_solvable(A, b, modulus):
+    """A x = b (mod modulus) has a solution iff [A | modulus I] y = b has
+    one over Z, iff appending b leaves the Smith invariants unchanged."""
+    wide = [list(row) + [modulus if i == j else 0 for j in range(len(A))]
+            for i, row in enumerate(A)]
+    return invariant_factors(wide) == invariant_factors(
+        [row + [bi] for row, bi in zip(wide, b)])
 
 
 small_matrix = st.integers(min_value=1, max_value=4).flatmap(
@@ -147,6 +222,89 @@ class TestNormalForm:
         assert first._log == second._log
 
 
+class TestPivotCache:
+    """The candidate cache reproduces the rescan rule, so every
+    elimination step, transform and invariant is the same."""
+
+    @given(sparse_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_rescan_oracle(self, case):
+        rows, ncols = case
+        assert reduction(SmithNF(rows, ncols=ncols)) == \
+            reduction(RescanSmithNF(rows, ncols=ncols))
+
+    @pytest.mark.parametrize("m", [4, 6])
+    def test_matches_rescan_oracle_on_shear_systems(self, m):
+        rows, ncols = shear_rows(m)
+        assert reduction(SmithNF(rows, ncols=ncols)) == \
+            reduction(RescanSmithNF(rows, ncols=ncols))
+
+    def test_cache_does_not_outlive_the_reduction(self):
+        nf = SmithNF([[2, 1], [1, 1], [0, 3]])
+        assert not any(hasattr(nf, name)
+                       for name in ("_dirty", "_cand"))
+
+    @given(sparse_matrices(), st.sampled_from([2, 4, 6, 12]),
+           st.lists(st.integers(min_value=-6, max_value=6), min_size=10,
+                    max_size=10))
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_sympy(self, case, modulus, b):
+        rows, ncols = case
+        A = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+        b = b[:len(A)] + [0] * (len(A) - len(b))
+        nf = SmithNF(rows, ncols=ncols)
+        assert [d for d in nf.diagonal if d] == invariant_factors(A)
+        res = nf.solve_mod(b, modulus)
+        assert res.solvable == sympy_solvable(A, b, modulus)
+
+
+def pivot_row_scans(rows, ncols):
+    """How many rows the pivot search reads while one Smith form is
+    reduced: each read of a row's entries from inside ``_find_pivot``."""
+    scans = []
+    searching = []
+
+    class Row(dict):
+        def items(self):
+            if searching:
+                scans.append(1)
+            return super().items()
+
+    class Counted(SmithNF):
+        def _reduce(self):
+            self.rows = [Row(r) for r in self.rows]
+            super()._reduce()
+
+        def _find_pivot(self, p):
+            searching.append(1)
+            try:
+                return super()._find_pivot(p)
+            finally:
+                searching.pop()
+
+    Counted(rows, ncols=ncols)
+    return len(scans)
+
+
+class TestPivotScanCount:
+    """Tooling guard on the work of the pivot search, in counts, not time.
+
+    The m = 10 shear system has 500 rows and 200 columns and takes 174
+    pivots.  Rescanning every remaining row at each pivot read 62 213
+    rows.  With the candidate cache the search reads each row once, then
+    only the rows an elementary operation changed or whose columns
+    changed their entry counts: 15 383 reads.  The bound leaves no slack,
+    so a change that makes the search rescan more shows here first."""
+
+    BOUND = 15383
+
+    def test_shear_system_scans_within_bound(self):
+        rows, ncols = shear_rows(10)
+        first = pivot_row_scans(rows, ncols)
+        assert first == pivot_row_scans(rows, ncols)
+        assert first <= self.BOUND
+
+
 class TestModularSolve:
     def test_infeasible_congruence_has_certificate(self):
         # 2x = 1 (mod 4) has no solution; the certificate doubles the row
@@ -209,6 +367,43 @@ class TestModularSolve:
         res = smith_solve(SmithSystem(A=((2,),), b=(1,), modulus=4))
         assert isinstance(res, SolveResult)
         assert res.pivot_row == 0
+
+
+class TestVerifierShapes:
+    """A length that does not match the rows, or a solution that misses a
+    referenced column, is a failed check, not a pass or a crash."""
+
+    ROWS = sparse([[1, 0], [0, 1]])
+
+    def test_short_rhs_fails_solution_check(self):
+        assert not verify_solution(self.ROWS, [1], 5, (1, 0))
+        assert not verify_solution(self.ROWS, [1, 0, 0], 5, (1, 0))
+
+    def test_short_solution_fails(self):
+        assert not verify_solution(self.ROWS, [1, 0], 5, (1,))
+        assert verify_solution(self.ROWS, [1, 0], 5, (1, 0))
+
+    def test_certificate_lengths_must_match_rows(self):
+        rows = sparse([[2], [0]])
+        assert verify_certificate(rows, [1, 0], 4, (2, 0))
+        assert not verify_certificate(rows, [1, 0], 4, (2,))
+        assert not verify_certificate(rows, [1], 4, (2, 0))
+
+    def test_solve_verified_rejects_short_answers(self, monkeypatch):
+        real = SmithNF.solve_mod
+
+        def truncated(self, b, modulus):
+            res = real(self, b, modulus)
+            if res.solvable:
+                return SolveResult(solution=res.solution[:-1],
+                                   certificate=None)
+            return SolveResult(solution=None,
+                               certificate=res.certificate[:-1])
+
+        monkeypatch.setattr(SmithNF, "solve_mod", truncated)
+        for b in ((2, 1), (1, 0)):
+            with pytest.raises(AssemblyError):
+                solve_verified([{0: 2}, {0: 1, 1: 1}], 2, [b], 4)
 
 
 class TestReverification:
