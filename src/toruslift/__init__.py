@@ -3,9 +3,9 @@
 The package decides, over finite exact-arithmetic models, whether a local
 torus action on a manifold-with-corners quotient lifts equivariantly to a
 principal torus bundle: Cech cocycle checks and holonomy, semidirect-product
-actions on fiber products, a finite group-cohomology complex with a Smith
-normal form solver, and the obstruction pipeline with a worked cylinder
-family.
+actions on fiber products, a finite group-cohomology complex with a solver
+over Z/m' (and the integer Smith normal form as its reference), and the
+obstruction pipeline with a worked cylinder family.
 """
 
 from .errors import (  # noqa: F401
@@ -19,8 +19,8 @@ from .torus import (  # noqa: F401
     polar, standard_act, moment_map, stratum,
 )
 from .smith import (  # noqa: F401
-    SmithSystem, SolveResult, SmithNF, smith_solve, verify_solution,
-    verify_certificate,
+    SmithSystem, SolveResult, ModularEchelon, SmithNF, smith_solve,
+    verify_solution, verify_certificate,
 )
 from .nerve import (  # noqa: F401
     Nerve, GLCocycle, CocycleReport, HolonomyReport, ChartCorrections,

@@ -13,7 +13,7 @@ The failure of the assembled lifting to commute with the deck action is
 measured by a table sigma(a, u, x); it vanishes up to a coboundary exactly
 when an equivariant lifting exists at the modeled scale.  The vanishing
 test turns that coboundary equation into an exact linear system over
-Z_{m'} and hands it to the Smith-form solver.  Windowed truncation keeps
+Z_{m'} and hands it to the modular solver.  Windowed truncation keeps
 one direction sound: an infeasibility certificate survives any
 enlargement of the model, while a solution is only an at-scale witness.
 """

@@ -1,28 +1,37 @@
-"""Integer linear algebra: Smith normal form and modular solving.
+"""Modular linear algebra: the solver of the vanishing test, and the
+integer Smith normal form kept as its reference.
 
-The vanishing test reduces to systems  A x = b (mod m')  over Z_{m'}.  We
-diagonalize A over the integers, U A V = D with U, V unimodular, and then
-solve the decoupled congruences d_i y_i = (U b)_i (mod m').  A solution maps
-back through V; an unsolvable congruence yields a row vector y (built from a
-row of U) with
+The vanishing test reduces to systems  A x = b (mod m')  over Z_{m'}, and
+only their answers mod m' are ever used.  ``ModularEchelon`` therefore
+eliminates over Z_{m'} itself, by row operations alone: units of Z_{m'}
+first, then, on what is left, pivots whose gcd with the modulus divides
+every other entry's.  When no such pivot exists the modulus splits into
+coprime parts by gcds (never by factoring it), each part is eliminated on
+its own, and the parts' answers are glued by the Chinese remainder
+theorem (Storjohann & Mulders, "Fast algorithms for linear algebra modulo
+N", ESA 1998).  Entries stay below the modulus, so nothing grows.  An
+unsolvable system yields a row vector y with
 
     y A = 0 (mod m')   and   y b != 0 (mod m'),
 
 which certifies infeasibility of the whole system and is returned as an
-independently checkable certificate.
+independently checkable certificate.  ``solve_verified`` re-checks every
+answer on the original rows before it is used.
 
-Everything runs on exact Python integers.  Row operations are kept in a log
-so rows of U can be replayed on demand; V is tracked explicitly because
-solutions need it.  Pivoting is deterministic (Markowitz-style preference
-for +-1 pivots), so repeated runs produce byte-identical results.
-
-The pivot search keeps one candidate key per row while the matrix is
-reduced and takes the least.  A row's candidate depends only on its
-entries, their dict order, its index and the entry counts of its columns,
-so an elementary operation marks dirty just the rows it changed and the
-rows holding a column whose count it changed; the next search rescans
-only those (Markowitz 1957; Davis, Direct Methods for Sparse Linear
-Systems, 2006, ch. 7).
+``SmithNF`` diagonalizes A over the integers, U A V = D with U, V
+unimodular, and solves the decoupled congruences d_i y_i = (U b)_i.  No
+verdict runs it; the tests keep it as the integer reference for the
+modular solver.  Row operations are
+kept in a log so rows of U can be replayed on demand; V is tracked
+explicitly.  Pivoting is deterministic (Markowitz-style preference for
++-1 pivots), so repeated runs produce byte-identical results.  The pivot
+search keeps one candidate key per row while the matrix is reduced and
+takes the least.  A row's candidate depends only on its entries, their
+dict order, its index and the entry counts of its columns, so an
+elementary operation marks dirty just the rows it changed and the rows
+holding a column whose count it changed; the next search rescans only
+those (Markowitz 1957; Davis, Direct Methods for Sparse Linear Systems,
+2006, ch. 7).
 """
 
 from __future__ import annotations
@@ -62,7 +71,10 @@ class SolveResult:
     """Outcome of ``smith_solve``: exactly one of solution / certificate set.
 
     ``certificate`` is a row vector y with y A = 0 and y b != 0 mod m';
-    ``pivot_row`` records which diagonal congruence failed.
+    ``pivot_row`` is the index of the row whose congruence failed once the
+    system was reduced (for ``SmithNF.solve_mod``, the failed diagonal
+    congruence); the certificate is that reduced row, scaled and mapped
+    back to the rows of A.
     """
 
     solution: Optional[tuple]
@@ -402,23 +414,207 @@ class SmithNF:
         return SolveResult(solution=x, certificate=None)
 
 
+def _replay(c, log, modulus):
+    """U c for the row operations of ``log``, in place, mod modulus."""
+    for i, r, f in log:
+        if c[r]:
+            c[i] = (c[i] + f * c[r]) % modulus
+
+
+def _replay_transposed(y, log, modulus):
+    """y U for the row operations of ``log``, in place, mod modulus."""
+    for i, r, f in reversed(log):
+        if y[i]:
+            y[r] = (y[r] + f * y[i]) % modulus
+
+
+def _coprime_split(q, g, h):
+    """q = u * v with coprime u, v > 1, from divisors g < h of q neither
+    of which divides the other.  The primes at which g has the higher
+    valuation go to u, the others to v: a step of factor refinement
+    (Bach, Driscoll & Shallit, "Factor refinement", J. Algorithms 1993)
+    that needs gcds only, never the factorization of q."""
+    v, t = q, g // gcd(g, h)
+    while t > 1:
+        t = gcd(v, t)
+        v //= t
+    return q // v, v
+
+
+class ModularEchelon:
+    """Row echelon form of a sparse integer matrix over Z/modulus, reached
+    by row operations alone, and the solver that replays it.
+
+    Each pivot has the least gcd g with the modulus q among the entries
+    still to be eliminated, and g divides all of theirs, so the pivot
+    g s (s a unit mod q/g) clears an entry g t of its column by adding
+    -t s^-1 times its row.  Units of Z/q (g = 1) come first, taken in the
+    column with fewest entries, then the row with fewest entries, then
+    the lowest row.  Each row addition into a row not yet a pivot row is
+    logged as (row, pivot row, factor), so that right-hand sides and
+    certificate rows can be replayed.  There is no column operation and
+    no growth: entries stay below q.
+
+    The gcds of the entries left are totally ordered by divisibility
+    when q is a prime power, but not in general.  When two of them do not
+    divide one another, q splits into coprime parts u, v by gcds alone,
+    and each part continues from the rows left, reduced mod u or mod v,
+    in an echelon form of its own (``parts``).  The pivots taken before
+    the split stay valid mod each part, because the part divides q.
+    Solutions of the parts are glued by the Chinese remainder theorem; a
+    certificate y of a part with modulus u lifts to (q/u) y mod q.
+    """
+
+    def __init__(self, rows: Sequence[dict], ncols: int, modulus: int):
+        for row in rows:
+            for j in row:
+                if not 0 <= j < ncols:
+                    raise ValueError("entry in column %d outside 0..%d"
+                                     % (j, ncols - 1))
+        self._build(dict(enumerate(rows)), len(rows), ncols, modulus)
+
+    def _build(self, block, nrows, ncols, modulus):
+        """Eliminate the rows of ``block`` (row index -> row) mod modulus;
+        the other rows of the nrows are pivot rows of an enclosing form."""
+        self.nrows, self.ncols, self.modulus = nrows, ncols, modulus
+        rows = {}
+        colindex = [set() for _ in range(ncols)]
+        for i, row in block.items():
+            reduced = {}
+            for j, v in row.items():
+                v %= modulus
+                if v:
+                    reduced[j] = v
+                    colindex[j].add(i)
+            rows[i] = reduced
+        self._log = []      # (i, r, f): row i += f * row r, mod modulus
+        self.pivots = []    # (row, column, g, pivot row, unit s^-1)
+        self.parts = self._crt = self._zero_rows = ()
+        split = self._eliminate(rows, colindex)
+        if split is None:
+            self._zero_rows = tuple(sorted(rows))
+            return
+        self.parts = tuple(self._part(rows, u) for u in split)
+        self._crt = tuple(modulus // u * pow(modulus // u, -1, u)
+                          for u in split)
+
+    def _part(self, rows, modulus):
+        part = ModularEchelon.__new__(ModularEchelon)
+        part._build(rows, self.nrows, self.ncols, modulus)
+        return part
+
+    def _eliminate(self, rows, colindex):
+        """Pivot until no entry is left (returns None) or the least gcd
+        fails to divide another (returns the coprime split of the
+        modulus).  Pivot rows leave ``rows`` and ``colindex``."""
+        q = self.modulus
+        while True:
+            live = [(len(rows_at), c) for c, rows_at in enumerate(colindex)
+                    if rows_at]
+            if not live:
+                return None
+            # the column with fewest entries nearly always holds a unit,
+            # so the full column order is sorted only when it does not
+            pick = self._first_at(1, [min(live)[1]], rows, colindex)
+            if pick is None:
+                order = [c for _, c in sorted(live)]
+                pick = self._first_at(1, order, rows, colindex)
+            if pick is None:
+                gcds = {gcd(rows[i][c], q) for c in order
+                        for i in colindex[c]}
+                g = min(gcds)
+                bad = next((h for h in sorted(gcds) if h % g), None)
+                if bad is not None:
+                    return _coprime_split(q, g, bad)
+                pick = self._first_at(g, order, rows, colindex)
+            r, c, g = pick
+            prow = rows.pop(r)
+            for j in prow:
+                colindex[j].discard(r)
+            s_inv = pow(prow[c] // g, -1, q // g)
+            for i in sorted(colindex[c]):
+                row = rows[i]
+                f = -(row[c] // g) * s_inv % q
+                for j, v in prow.items():
+                    new = (row.get(j, 0) + f * v) % q
+                    if new:
+                        if j not in row:
+                            colindex[j].add(i)
+                        row[j] = new
+                    elif j in row:
+                        del row[j]
+                        colindex[j].discard(i)
+                self._log.append((i, r, f))
+            self.pivots.append((r, c, g, prow, s_inv))
+
+    def _first_at(self, g, order, rows, colindex):
+        """In the first column of ``order`` holding an entry whose gcd
+        with the modulus is g, the row with fewest entries, then the
+        lowest: (row, column, g), or None."""
+        q = self.modulus
+        for c in order:
+            found = [(len(rows[i]), i) for i in colindex[c]
+                     if gcd(rows[i][c], q) == g]
+            if found:
+                return min(found)[1], c, g
+        return None
+
+    def solve(self, b: Sequence[int]) -> SolveResult:
+        """A x = b (mod modulus), or a certificate that no x exists."""
+        if len(b) != self.nrows:
+            raise ValueError("b has %d entries for %d rows"
+                             % (len(b), self.nrows))
+        return self._solve([v % self.modulus for v in b])
+
+    def _solve(self, c) -> SolveResult:
+        """``solve`` for c reduced mod the modulus; c is consumed."""
+        q = self.modulus
+        _replay(c, self._log, q)
+        failed = next(((r, q // g) for r, _, g, _, _ in self.pivots
+                       if c[r] % g), None)
+        if failed is None:
+            failed = next(((r, 1) for r in self._zero_rows if c[r]), None)
+        if failed is not None:
+            r, scale = failed
+            y = [0] * self.nrows
+            y[r] = scale
+            _replay_transposed(y, self._log, q)
+            return SolveResult(solution=None, certificate=tuple(y),
+                               pivot_row=r)
+        x = [0] * self.ncols
+        for part, e in zip(self.parts, self._crt):
+            u = part.modulus
+            res = part._solve([v % u for v in c])
+            if not res.solvable:
+                y = list(res.certificate)
+                _replay_transposed(y, self._log, u)
+                return SolveResult(solution=None, certificate=tuple(
+                    q // u * v % q for v in y), pivot_row=res.pivot_row)
+            for j, v in enumerate(res.solution):
+                x[j] = (x[j] + e * v) % q
+        for r, col, g, prow, s_inv in reversed(self.pivots):
+            rest = c[r] - sum(v * x[j] for j, v in prow.items() if j != col)
+            x[col] = rest % q // g * s_inv % (q // g)
+        return SolveResult(solution=tuple(x), certificate=None)
+
+
 def solve_verified(rows: Sequence[dict], ncols: int, rhs: Sequence,
                    modulus: int) -> List[SolveResult]:
     """Solve A x = b (mod modulus) for each b in ``rhs``, stopping after
-    the first with no solution.  ``rows`` are {column: coefficient} dicts
-    in the solver's scan order.  A homogeneous b takes the zero solution;
-    otherwise one Smith form for all b decides, and its answer is
-    re-verified (AssemblyError, a bug rather than an input error)."""
+    the first with no solution.  ``rows`` are {column: coefficient}
+    dicts.  A homogeneous b takes the zero solution; otherwise one
+    ``ModularEchelon`` for all b decides, and its answer is re-verified
+    (AssemblyError, a bug rather than an input error)."""
     pairs = [tuple(r.items()) for r in rows]
-    nf = None
+    echelon = None
     results = []
     for b in rhs:
         if all(v % modulus == 0 for v in b):
             result = SolveResult(solution=(0,) * ncols, certificate=None)
         else:
-            if nf is None:
-                nf = SmithNF(list(rows), ncols=ncols)
-            result = nf.solve_mod(b, modulus)
+            if echelon is None:
+                echelon = ModularEchelon(rows, ncols, modulus)
+            result = echelon.solve(b)
             if not (verify_solution(pairs, b, modulus, result.solution)
                     if result.solvable else verify_certificate(
                         pairs, b, modulus, result.certificate)):

@@ -670,10 +670,11 @@ class TestVanishing:
         assert first == second
 
     def test_zero_sigma_skips_the_smith_form(self, monkeypatch):
-        def no_smith_form(*args, **kwargs):
-            raise AssertionError("Smith form computed for a zero sigma")
+        def no_solver(*args, **kwargs):
+            raise AssertionError("solver built for a zero sigma")
 
-        monkeypatch.setattr(smith, "SmithNF", no_smith_form)
+        monkeypatch.setattr(smith, "ModularEchelon", no_solver)
+        monkeypatch.setattr(smith, "SmithNF", no_solver)
         lifting, model, rho, corrections = assembled(m=4, m_prime=4)
         module = module_for(model, rho, corrections, 1, 4)
         report = ob.test_vanishing(ob.compute_sigma(lifting, module), module)

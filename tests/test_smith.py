@@ -1,9 +1,12 @@
-"""Tests for integer Smith normal form and the modular system solver."""
+"""Tests for the modular echelon solver and the integer Smith normal form
+that serves as its reference."""
 
 import itertools
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,10 +15,11 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form
 
 import toruslift.smith as smith
-from _helpers import shear_orbit_module, shear_sigma
+from _helpers import planted_shear_s, shear_orbit_module, shear_sigma
 from toruslift.errors import AssemblyError
 from toruslift.lifting import test_vanishing as vanishing_test
 from toruslift.smith import (
+    ModularEchelon,
     SmithNF,
     SmithSystem,
     SolveResult,
@@ -305,6 +309,172 @@ class TestPivotScanCount:
         assert first <= self.BOUND
 
 
+def split_count(echelon):
+    """How many times the modulus of an echelon form, or of one of its
+    parts, was split into coprime parts."""
+    return bool(echelon.parts) + sum(split_count(p) for p in echelon.parts)
+
+
+def row_operations(echelon):
+    """Row operations logged by an echelon form and all its parts."""
+    return len(echelon._log) + sum(row_operations(p) for p in echelon.parts)
+
+
+def check_against_oracles(rows, ncols, b, modulus, use_sympy=True):
+    """The echelon form's answer for A x = b (mod modulus) passes its
+    verifier, and its solvability is that of the integer Smith form and,
+    if asked, of sympy's."""
+    res = ModularEchelon(rows, ncols, modulus).solve(b)
+    pairs = sparse([[row.get(j, 0) for j in range(ncols)] for row in rows])
+    if res.solvable:
+        assert verify_solution(pairs, b, modulus, res.solution)
+        assert all(0 <= v < modulus for v in res.solution)
+    else:
+        assert verify_certificate(pairs, b, modulus, res.certificate)
+        assert all(0 <= v < modulus for v in res.certificate)
+    assert res.solvable == \
+        SmithNF(rows, ncols=ncols).solve_mod(b, modulus).solvable
+    if use_sympy:
+        A = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+        assert res.solvable == sympy_solvable(A, b, modulus)
+    return res
+
+
+#: right-hand sides, cut to the row count: enough entries for the 13 rows
+#: ``sparse_matrices`` can draw
+rhs_entries = st.lists(st.integers(min_value=-40, max_value=40),
+                       min_size=13, max_size=13)
+
+
+@st.composite
+def non_unit_matrices(draw, modulus):
+    """Sparse rows over Z/modulus whose entries are all non-units: each a
+    multiple of 2 or of 3.  For a modulus with both primes, an entry 2
+    and an entry 3 make the least gcd fail to divide another, so the
+    modulus must split before the first pivot."""
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    entry = st.sampled_from((2, 3, 4, 6, 8, 9, -2, -3, 10, 15, 12, 18))
+    row = st.dictionaries(st.integers(min_value=0, max_value=ncols - 1),
+                          entry, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=7))
+    rows.append({draw(st.integers(min_value=0, max_value=ncols - 1)): 2})
+    rows.insert(draw(st.integers(min_value=0, max_value=len(rows))),
+                {draw(st.integers(min_value=0, max_value=ncols - 1)): 3})
+    return rows, ncols
+
+
+def shear_systems(m):
+    """The vanishing test's rows on the shear-orbit module at order m and
+    right-hand sides: one planted to vanish, one planted not to, and one
+    with a single nonzero entry."""
+    module = shear_orbit_module(m)
+    s = planted_shear_s(module, random.Random(m))
+    moved = list(s)
+    moved[1] = (moved[1] + 1) % m
+    rhs = [vanishing_test(shear_sigma(module, t), module).rhs[0]
+           for t in (s, moved)]
+    rows, ncols = shear_rows(m)
+    rhs.append([1] + [0] * (len(rows) - 1))
+    return rows, ncols, rhs
+
+
+class TestModularEchelon:
+    """The modular solver against sympy's Smith form, the integer Smith
+    form and its own verifiers."""
+
+    @given(sparse_matrices(), st.sampled_from([4, 8, 9, 12, 18, 36]),
+           rhs_entries)
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_smith_forms(self, case, modulus, b):
+        rows, ncols = case
+        check_against_oracles(rows, ncols, b[:len(rows)], modulus)
+
+    @given(st.sampled_from([12, 18, 36]).flatmap(
+        lambda q: st.tuples(st.just(q), non_unit_matrices(q))), rhs_entries)
+    @settings(max_examples=100, deadline=None)
+    def test_gcd_split_runs_on_non_units(self, case, b):
+        modulus, (rows, ncols) = case
+        assert split_count(ModularEchelon(rows, ncols, modulus)) >= 1
+        check_against_oracles(rows, ncols, b[:len(rows)], modulus)
+
+    @given(st.sampled_from([4, 8, 9]).flatmap(
+        lambda q: st.tuples(st.just(q), non_unit_matrices(q))), rhs_entries)
+    @settings(max_examples=100, deadline=None)
+    def test_prime_powers_never_split(self, case, b):
+        modulus, (rows, ncols) = case
+        assert split_count(ModularEchelon(rows, ncols, modulus)) == 0
+        check_against_oracles(rows, ncols, b[:len(rows)], modulus)
+
+    def test_split_parts_are_coprime_and_exact(self):
+        echelon = ModularEchelon([{0: 2}, {1: 3}, {0: 6, 1: 4}], 2, 36)
+        assert [p.modulus for p in echelon.parts] == [4, 9]
+        for b in ((1, 0, 0), (0, 1, 0), (2, 3, 1), (4, 9, 0)):
+            check_against_oracles([{0: 2}, {1: 3}, {0: 6, 1: 4}], 2, b, 36)
+
+    @pytest.mark.parametrize("m", [4, 6, 10])
+    def test_shear_systems(self, m):
+        rows, ncols, rhs = shear_systems(m)
+        verdicts = [check_against_oracles(rows, ncols, b, m,
+                                          use_sympy=m == 4).solvable
+                    for b in rhs]
+        assert verdicts[:2] == [True, False]
+
+    @pytest.mark.parametrize("modulus", [2 ** 61 - 1, 4 * (2 ** 31 - 1)])
+    def test_large_moduli_return_promptly(self, modulus):
+        # No factorization of the modulus: a trial division of either
+        # would run for minutes.
+        p = 2 ** 61 - 1 if modulus % 4 else 2 ** 31 - 1
+        rows = [{0: 2, 1: p}, {0: p, 2: 2}, {1: 2 * p, 2: 4}, {0: 1, 1: 1}]
+        start = time.perf_counter()
+        for b in ((1, 2, 3, 4), (0, 0, 1, 0), (2, p, 0, 1),
+                  (modulus - 1, 1, 2, 0)):
+            check_against_oracles(rows, 3, b, modulus, use_sympy=False)
+        rows, ncols, rhs = shear_systems(4)
+        for b in rhs:
+            check_against_oracles(rows, ncols, b, modulus, use_sympy=False)
+        assert time.perf_counter() - start < 10
+
+    @given(sparse_matrices(), st.sampled_from([2 ** 61 - 1,
+                                               4 * (2 ** 31 - 1)]),
+           rhs_entries)
+    @settings(max_examples=40, deadline=None)
+    def test_large_moduli_agree_with_smith_forms(self, case, modulus, b):
+        rows, ncols = case
+        check_against_oracles(rows, ncols, b[:len(rows)], modulus)
+
+    def test_solve_is_repeatable(self):
+        echelon = ModularEchelon([{0: 2, 1: 1}, {0: 1, 1: 1}], 2, 6)
+        first = [echelon.solve(b) for b in ((1, 2), (3, 3), (0, 1))]
+        assert first == [echelon.solve(b) for b in ((1, 2), (3, 3), (0, 1))]
+
+    def test_rejects_out_of_range_column(self):
+        with pytest.raises(ValueError):
+            ModularEchelon([{2: 1}], 2, 5)
+
+    def test_rejects_rhs_of_wrong_length(self):
+        with pytest.raises(ValueError):
+            ModularEchelon([{0: 1}], 1, 5).solve((1, 2))
+
+
+class TestRowOperationCount:
+    """Tooling guard on the work of the modular elimination, in counts,
+    not time.  On the m = 10 shear system (500 rows, 200 columns, 174
+    unit pivots) the echelon form takes 3910 row operations; the integer
+    Smith form logs 4398 row operations and column operations besides.
+    The bound leaves no slack, so a pivot order that fills in more shows
+    here first."""
+
+    BOUND = 3910
+
+    def test_shear_system_operations_within_bound(self):
+        rows, ncols = shear_rows(10)
+        first = ModularEchelon(rows, ncols, 10)
+        assert row_operations(first) == \
+            row_operations(ModularEchelon(rows, ncols, 10))
+        assert split_count(first) == 0
+        assert row_operations(first) <= self.BOUND
+
+
 class TestModularSolve:
     def test_infeasible_congruence_has_certificate(self):
         # 2x = 1 (mod 4) has no solution; the certificate doubles the row
@@ -390,17 +560,17 @@ class TestVerifierShapes:
         assert not verify_certificate(rows, [1], 4, (2, 0))
 
     def test_solve_verified_rejects_short_answers(self, monkeypatch):
-        real = SmithNF.solve_mod
+        real = ModularEchelon.solve
 
-        def truncated(self, b, modulus):
-            res = real(self, b, modulus)
+        def truncated(self, b):
+            res = real(self, b)
             if res.solvable:
                 return SolveResult(solution=res.solution[:-1],
                                    certificate=None)
             return SolveResult(solution=None,
                                certificate=res.certificate[:-1])
 
-        monkeypatch.setattr(SmithNF, "solve_mod", truncated)
+        monkeypatch.setattr(ModularEchelon, "solve", truncated)
         for b in ((2, 1), (1, 0)):
             with pytest.raises(AssemblyError):
                 solve_verified([{0: 2}, {0: 1, 1: 1}], 2, [b], 4)
@@ -448,14 +618,20 @@ class TestSolveVerified:
     ROWS = [{0: 2}, {0: 1, 1: 1}]
 
     def counting(self, monkeypatch):
+        """Record each echelon form built; the Smith form is on no solve
+        path, so building one fails the test."""
         built = []
-        real = smith.SmithNF
+        real = smith.ModularEchelon
 
         def counted(*args, **kwargs):
             built.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(smith, "SmithNF", counted)
+        def no_smith_form(*args, **kwargs):
+            raise AssertionError("Smith form built on the solve path")
+
+        monkeypatch.setattr(smith, "ModularEchelon", counted)
+        monkeypatch.setattr(smith, "SmithNF", no_smith_form)
         return built
 
     def test_zero_rhs_needs_no_smith_form(self, monkeypatch):
